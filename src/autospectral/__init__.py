@@ -10,7 +10,7 @@ from .affinity import (
     lsr_coefficients,
     postprocess_affinity,
 )
-from .kmeans import Partition, kmeans, kmeans_centers
+from .kmeans import Partition
 from .linalg import partial_sym_eigs, randomized_svd, solve_spd
 from .metrics import clustering_accuracy, mncut, nmi, partition_distance
 from .netembed import MLPParams, NetConfig, landmark_cluster, net_forward, net_train
@@ -58,8 +58,6 @@ __all__ = [
     "grid_search",
     "kernel_matrix",
     "klsr_coefficients",
-    "kmeans",
-    "kmeans_centers",
     "landmark_cluster",
     "laplacian_spectrum",
     "lsr_coefficients",

@@ -85,11 +85,17 @@ class AffinityGraph:
         return self.a.shape[0]
 
 
-def gaussian_bandwidth(X, xi=1.0, max_exact_n=20000, sample_pairs=1_000_000, seed=0):
+# Largest point count whose gaussian bandwidth is exact; above it the mean
+# pairwise distance is estimated from sampled pairs.
+BANDWIDTH_MAX_EXACT_N = 20000
+
+
+def gaussian_bandwidth(X, xi=1.0, max_exact_n=None, sample_pairs=1_000_000, seed=0):
     """Bandwidth = xi * mean pairwise distance over all n^2 ordered pairs.
 
-    Beyond ``max_exact_n`` points the mean is estimated from uniformly
-    sampled pairs instead of the exact n^2 sum.
+    Beyond ``max_exact_n`` points (default ``BANDWIDTH_MAX_EXACT_N``) the
+    mean is estimated from uniformly sampled pairs instead of the exact n^2
+    sum.
 
     Returns
     -------
@@ -99,6 +105,8 @@ def gaussian_bandwidth(X, xi=1.0, max_exact_n=20000, sample_pairs=1_000_000, see
     n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two points")
+    if max_exact_n is None:
+        max_exact_n = BANDWIDTH_MAX_EXACT_N
     if n <= max_exact_n:
         sq = _pairwise_sq_dists(X, X)
         mean = np.sqrt(np.maximum(sq, 0.0)).sum() / (n * n)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import affinity
 from .dataio import (
     load_csv,
     load_idx,
@@ -53,7 +54,10 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=1e-5, help="embedding-net ridge weight")
     p.add_argument("--hidden", type=int, default=200)
     p.add_argument("--eps", type=float, default=1e-6, help="eigen-gap denominator constant")
-    p.add_argument("--threads", type=int, default=0, help="0 = all cores; 1 = serial reference mode")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="evaluation threads; 1 = serial reference mode (default), 0 = all cores",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
@@ -145,6 +149,7 @@ def _run(args):
     X, truth = _load(args)
     n = X.shape[1]
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    searched_n = args.landmarks if args.landmarks > 0 else n
     space = default_search_space()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +227,8 @@ def _run(args):
             "threads": threads,
             "seed": args.seed,
             "repeats": args.repeats,
-            "bandwidth_estimated": bool(n > 20000),
+            # the search sees the landmarks, not all n points, in landmark mode
+            "bandwidth_estimated": bool(searched_n > affinity.BANDWIDTH_MAX_EXACT_N),
         },
         "repeats": repeats,
         "aggregate": {

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -43,19 +44,63 @@ class Partition:
         return cls(labels=inverse + 1, k=len(values))
 
 
-def _sq_dists(P, centers):
-    g = P @ centers.T
-    pn = np.einsum("ij,ij->i", P, P)
-    cn = np.einsum("ij,ij->i", centers, centers)
-    return np.maximum(pn[:, None] + cn[None, :] - 2.0 * g, 0.0)
+# Distance entries per assignment block: 32768 float64 (256 KiB) keep a
+# block's rows x k tile in cache.
+_TILE = 32768
 
 
-def _kmeanspp(P, k, rng):
+def _sq_norms(A):
+    return np.einsum("ij,ij->i", A, A)
+
+
+def _sq_dists(d, g2):
+    """Squared distances max(|p|^2 + |c|^2 - 2 p.c, 0), in place in d.
+
+    ``d`` holds |p|^2 + |c|^2 and ``g2`` holds 2 p.c, computed as
+    P @ (2 C).T: doubling a factor is exact, so this is 2 (P @ C.T) bit for bit.
+    """
+    d -= g2
+    return np.maximum(d, 0.0, out=d)
+
+
+def _assign(P, pn, centers):
+    """Nearest center of every row of P and its squared distance; ties take
+    the lowest center.
+
+    One product gives every p.c; the rest runs in row blocks whose rows x k
+    tile stays in cache. (A product per block would be cheaper, but BLAS
+    then rounds some entries differently.) The block's |p|^2 + |c|^2 is the
+    product [|p|^2, 1] @ [1; |c|^2]: the same single rounding as the sum,
+    at a quarter of the cost of numpy's broadcast add.
+    """
+    n, k = P.shape[0], centers.shape[0]
+    pn1 = np.column_stack((pn, np.ones(n)))
+    cn1 = np.vstack((np.ones(k), _sq_norms(centers)))
+    g2 = P @ (2.0 * centers).T
+    rows = max(1, _TILE // k)
+    tile = np.empty((min(rows, n), k))
+    labels = np.empty(n, dtype=np.intp)
+    mind2 = np.empty(n)
+    for s in range(0, n, rows):
+        block = slice(s, s + rows)
+        d2 = np.matmul(pn1[block], cn1, out=tile[: min(rows, n - s)])
+        _sq_dists(d2, g2[block])
+        np.argmin(d2, axis=1, out=labels[block])
+        mind2[block] = d2[np.arange(d2.shape[0]), labels[block]]
+    return labels, mind2
+
+
+def _kmeanspp(P, pn, k, rng):
     n = P.shape[0]
     centers = np.empty((k, P.shape[1]))
+
+    def sq_dists_to(j):
+        c = centers[j : j + 1]
+        return _sq_dists(pn + _sq_norms(c), (P @ (2.0 * c).T)[:, 0])
+
     first = int(rng.integers(0, n))
     centers[0] = P[first]
-    closest = _sq_dists(P, centers[:1])[:, 0]
+    closest = sq_dists_to(0)
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -65,7 +110,7 @@ def _kmeanspp(P, k, rng):
             taken = {tuple(c) for c in centers[:j]}
             idx = next((i for i in range(n) if tuple(P[i]) not in taken), j % n)
         centers[j] = P[idx]
-        closest = np.minimum(closest, _sq_dists(P, centers[j : j + 1])[:, 0])
+        np.minimum(closest, sq_dists_to(j), out=closest)
     return centers
 
 
@@ -80,36 +125,64 @@ def _repair_empty(P, centers, labels, mind2, k):
         mind2[far] = 0.0
 
 
+def _means(P, labels, centers):
+    """Mean of each cluster's rows; an empty cluster keeps its center.
+
+    One one-hot sparse product sums every cluster, adding its members in
+    index order as ``P[labels == j].mean(axis=0)`` does.
+    """
+    k, n = centers.shape[0], labels.size
+    counts = np.bincount(labels, minlength=k)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    onehot = sp.csr_matrix((np.ones(n), np.argsort(labels, kind="stable"), indptr), shape=(k, n))
+    sums = onehot @ P
+    means = centers.copy()
+    full = counts > 0
+    means[full] = sums[full] / counts[full, None]
+    return means
+
+
 def lloyd_iterations(P, k, rng, max_iters=300, tol=1e-6):
     """Single k-means run; returns (labels0, centers, inertia, history).
 
     ``history`` collects the inertia after every assignment step and is
     non-increasing by construction of the update/repair steps.
     """
-    n = P.shape[0]
-    centers = _kmeanspp(P, k, rng)
+    pn = _sq_norms(P)
+    centers = _kmeanspp(P, pn, k, rng)
     history = []
     for _ in range(max_iters):
-        d2 = _sq_dists(P, centers)
-        labels = np.argmin(d2, axis=1)
-        mind2 = d2[np.arange(n), labels]
+        labels, mind2 = _assign(P, pn, centers)
         _repair_empty(P, centers, labels, mind2, k)
         history.append(float(mind2.sum()))
-        new_centers = centers.copy()
-        for j in range(k):
-            members = labels == j
-            if np.any(members):
-                new_centers[j] = P[members].mean(axis=0)
+        new_centers = _means(P, labels, centers)
         shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
         centers = new_centers
         if shift < tol:
             break
-    d2 = _sq_dists(P, centers)
-    labels = np.argmin(d2, axis=1)
-    mind2 = d2[np.arange(n), labels]
+    labels, mind2 = _assign(P, pn, centers)
     _repair_empty(P, centers, labels, mind2, k)
     history.append(float(mind2.sum()))
     return labels, centers, float(mind2.sum()), history
+
+
+def _best_run(X, k, restarts, max_iters, tol, seed):
+    """(labels0, centers, inertia) of the lowest-inertia of ``restarts``
+    runs on the columns of X; ties keep the earliest restart."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[1]
+    if k < 1 or k > n:
+        raise ValueError(f"k must be in [1, {n}]")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    P = X.T.copy()
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        labels, centers, inertia, _ = lloyd_iterations(P, k, rng, max_iters, tol)
+        if best is None or inertia < best[2]:
+            best = (labels, centers, inertia)
+    return best
 
 
 def kmeans(Z, k, restarts=10, max_iters=300, tol=1e-6, seed=0):
@@ -117,34 +190,10 @@ def kmeans(Z, k, restarts=10, max_iters=300, tol=1e-6, seed=0):
 
     Returns the lowest-inertia Partition; ties keep the earliest restart.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    n = Z.shape[1]
-    if k < 1 or k > n:
-        raise ValueError(f"k must be in [1, {n}]")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    P = Z.T.copy()
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        labels, centers, inertia, _ = lloyd_iterations(P, k, rng, max_iters, tol)
-        if best is None or inertia < best[0]:
-            best = (inertia, labels, centers)
-    inertia, labels, _ = best
+    labels, _, inertia = _best_run(Z, k, restarts, max_iters, tol, seed)
     return Partition(labels=labels + 1, k=k, inertia=inertia)
 
 
 def kmeans_centers(X, k, seed=0, restarts=10, max_iters=300, tol=1e-6):
     """Centers (m x k) of the best k-means run; used for landmark selection."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[1]
-    if k < 1 or k > n:
-        raise ValueError(f"k must be in [1, {n}]")
-    P = X.T.copy()
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        _, centers, inertia, _ = lloyd_iterations(P, k, rng, max_iters, tol)
-        if best is None or inertia < best[0]:
-            best = (inertia, centers)
-    return best[1].T.copy()
+    return _best_run(X, k, restarts, max_iters, tol, seed)[1].T.copy()

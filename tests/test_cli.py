@@ -6,7 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from autospectral.cli import run_cli
+from autospectral import affinity
+from autospectral.cli import build_parser, run_cli
 from autospectral.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, save_csv
 from autospectral.synthetic import random_subspaces
 
@@ -175,3 +176,35 @@ class TestLandmarkPath:
         assert report["aggregate"]["accuracy_mean"] >= 0.9
         labels_out = (out / "labels.csv").read_text().strip().splitlines()
         assert len(labels_out) == 300
+
+
+class TestBandwidthFlag:
+    """bandwidth_estimated follows the point count the search ran on."""
+
+    def _flag(self, tmp_path, X, **extra):
+        data = tmp_path / "data.csv"
+        save_csv(data, X)
+        out = tmp_path / "run"
+        assert run_cli(base_args(data, out, **extra)) == 0
+        return json.loads((out / "report.json").read_text())["config"]["bandwidth_estimated"]
+
+    def test_landmark_search_counts_landmarks(self, tmp_path, monkeypatch):
+        # 300 points exceed the ceiling, the 60 landmarks searched do not
+        monkeypatch.setattr(affinity, "BANDWIDTH_MAX_EXACT_N", 100)
+        X, _ = random_subspaces(
+            k=2, ambient_dim=12, intrinsic_dim=2, per_cluster=150, noise_std=0.01, seed=3
+        )
+        flags = {"--landmarks": "60", "--epochs": "5", "--batch": "8", "--hidden": "20"}
+        assert self._flag(tmp_path, X, **flags) is False
+
+    def test_full_search_counts_all_points(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(affinity, "BANDWIDTH_MAX_EXACT_N", 39)
+        X, _ = random_subspaces(
+            k=2, ambient_dim=2, intrinsic_dim=1, per_cluster=20, noise_std=0.01, seed=4
+        )
+        assert self._flag(tmp_path, X) is True
+
+
+def test_threads_default_is_serial():
+    args = build_parser().parse_args(["--data", "d.csv", "--k", "2", "--out", "o"])
+    assert args.threads == 1

@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+import autospectral.kmeans as kmeans_module
 from autospectral.kmeans import Partition, kmeans, kmeans_centers, lloyd_iterations
 from autospectral.metrics import clustering_accuracy
 
@@ -91,6 +94,15 @@ def test_k_validation():
         kmeans(np.zeros((2, 3)), 4)
     with pytest.raises(ValueError):
         kmeans(np.zeros((2, 3)), 2, restarts=0)
+    with pytest.raises(ValueError):
+        kmeans_centers(np.zeros((2, 3)), 2, restarts=0)
+    with pytest.raises(ValueError):
+        kmeans_centers(np.zeros((2, 3)), 4)
+
+
+def test_submodule_import_binds_module():
+    assert isinstance(kmeans_module, types.ModuleType)
+    assert kmeans_module.kmeans is kmeans
 
 
 class TestCenters:
@@ -128,3 +140,110 @@ def test_partition_validation():
         Partition(labels=np.array([0, 1]), k=2)
     with pytest.raises(ValueError):
         Partition(labels=np.array([1, 3]), k=2)
+
+
+# Reference Lloyd loop: full distance matrices, one mean per center.
+def _ref_sq_dists(P, centers):
+    g = P @ centers.T
+    pn = np.einsum("ij,ij->i", P, P)
+    cn = np.einsum("ij,ij->i", centers, centers)
+    return np.maximum(pn[:, None] + cn[None, :] - 2.0 * g, 0.0)
+
+
+def _ref_kmeanspp(P, k, rng):
+    n = P.shape[0]
+    centers = np.empty((k, P.shape[1]))
+    centers[0] = P[int(rng.integers(0, n))]
+    closest = _ref_sq_dists(P, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = closest.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=closest / total))
+        else:
+            taken = {tuple(c) for c in centers[:j]}
+            idx = next((i for i in range(n) if tuple(P[i]) not in taken), j % n)
+        centers[j] = P[idx]
+        closest = np.minimum(closest, _ref_sq_dists(P, centers[j : j + 1])[:, 0])
+    return centers
+
+
+def _ref_assign(P, centers, k):
+    d2 = _ref_sq_dists(P, centers)
+    labels = np.argmin(d2, axis=1)
+    mind2 = d2[np.arange(P.shape[0]), labels]
+    counts = np.bincount(labels, minlength=k)
+    for e in np.flatnonzero(counts == 0):
+        far = int(np.argmax(mind2))
+        counts[labels[far]] -= 1
+        centers[e] = P[far]
+        labels[far] = e
+        counts[e] = 1
+        mind2[far] = 0.0
+    return labels, mind2
+
+
+def _ref_lloyd(P, k, rng, max_iters=300, tol=1e-6):
+    centers = _ref_kmeanspp(P, k, rng)
+    history = []
+    for _ in range(max_iters):
+        labels, mind2 = _ref_assign(P, centers, k)
+        history.append(float(mind2.sum()))
+        new_centers = centers.copy()
+        for j in range(k):
+            members = labels == j
+            if np.any(members):
+                new_centers[j] = P[members].mean(axis=0)
+        shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
+        centers = new_centers
+        if shift < tol:
+            break
+    labels, mind2 = _ref_assign(P, centers, k)
+    history.append(float(mind2.sum()))
+    return labels, centers, float(mind2.sum()), history
+
+
+def _duplicates(rng, m):
+    # 6 distinct points, 12 copies each: k = 8 forces coinciding seeds,
+    # tied distances and empty-cluster repairs
+    return np.repeat(rng.standard_normal((6, m)), 12, axis=0), 8
+
+
+def _case(name, m, rng):
+    if name == "duplicates":
+        return _duplicates(rng, m)
+    n, k = {"k1": (53, 1), "kn": (23, 23), "blobs": (157, 6)}[name]
+    return rng.standard_normal((n, m)) + 3.0 * rng.integers(0, 3, size=(n, 1)), k
+
+
+CASES = ("k1", "kn", "blobs", "duplicates")
+
+
+@pytest.mark.parametrize("tile", [None, 40])
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("m", [1, 2, 3, 17])
+def test_lloyd_matches_reference_loop(name, m, tile, monkeypatch):
+    # tile=40 cuts the assignment into blocks of 40 // k rows; every case
+    # but k = n ends in a partial block
+    if tile is not None:
+        monkeypatch.setattr(kmeans_module, "_TILE", tile)
+    rng = np.random.default_rng([m, len(name)])
+    P, k = _case(name, m, rng)
+    for s in range(3):
+        labels, centers, inertia, history = lloyd_iterations(P, k, np.random.default_rng(s))
+        ref_labels, ref_centers, ref_inertia, ref_history = _ref_lloyd(P, k, np.random.default_rng(s))
+        assert np.array_equal(labels, ref_labels)
+        if m == 1:
+            # numpy's mean sums a single coordinate pairwise, not in index order
+            np.testing.assert_allclose(history, ref_history, rtol=0, atol=1e-12)
+        else:
+            assert history == ref_history
+            assert inertia == ref_inertia
+        np.testing.assert_allclose(centers, ref_centers, rtol=0, atol=1e-12)
+
+
+def test_duplicates_case_repairs_empty_clusters():
+    # the reference loop really hits the repair branch on the duplicates case
+    P, k = _duplicates(np.random.default_rng(0), 2)
+    centers = _ref_kmeanspp(P, k, np.random.default_rng(0))
+    counts = np.bincount(np.argmin(_ref_sq_dists(P, centers), axis=1), minlength=k)
+    assert np.any(counts == 0)

@@ -89,33 +89,42 @@ class AffinityGraph:
 # pairwise distance is estimated from sampled pairs.
 BANDWIDTH_MAX_EXACT_N = 20000
 
+# float64 entries in one block of distances (8 MB), which bounds the memory
+# of gaussian_bandwidth to O(n * block) instead of O(n^2).
+_DISTANCE_BLOCK_ENTRIES = 1 << 20
+
 
 def gaussian_bandwidth(X, xi=1.0, max_exact_n=None, sample_pairs=1_000_000, seed=0):
     """Bandwidth = xi * mean pairwise distance over all n^2 ordered pairs.
 
     Beyond ``max_exact_n`` points (default ``BANDWIDTH_MAX_EXACT_N``) the
     mean is estimated from uniformly sampled pairs instead of the exact n^2
-    sum.
+    sum. Either way distances are computed a block at a time, so memory
+    stays at a few blocks of ``_DISTANCE_BLOCK_ENTRIES`` entries.
 
     Returns
     -------
     (sigma, estimated) : float, bool
     """
     X = check_finite(X, "X")
-    n = X.shape[1]
+    m, n = X.shape
     if n < 2:
         raise ValueError("need at least two points")
     if max_exact_n is None:
         max_exact_n = BANDWIDTH_MAX_EXACT_N
+    total = 0.0
     if n <= max_exact_n:
-        sq = _pairwise_sq_dists(X, X)
-        mean = np.sqrt(np.maximum(sq, 0.0)).sum() / (n * n)
-        return xi * mean, False
+        rows = max(1, _DISTANCE_BLOCK_ENTRIES // n)
+        for r in range(0, n, rows):
+            total += np.sqrt(_pairwise_sq_dists(X[:, r : r + rows], X)).sum()
+        return xi * (total / (n * n)), False
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=sample_pairs)
     j = rng.integers(0, n, size=sample_pairs)
-    d = np.linalg.norm(X[:, i] - X[:, j], axis=0)
-    return xi * float(d.mean()), True
+    chunk = max(1, _DISTANCE_BLOCK_ENTRIES // m)
+    for c in range(0, sample_pairs, chunk):
+        total += np.linalg.norm(X[:, i[c : c + chunk]] - X[:, j[c : c + chunk]], axis=0).sum()
+    return xi * float(total / sample_pairs), True
 
 
 def _pairwise_sq_dists(X, Y):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from pathlib import Path
@@ -153,11 +154,14 @@ def _kernel_fields(config):
 
 def write_candidates_csv(path, per_repeat_scores, k):
     """Per-candidate scores across repeats: model, hyperparameters, score,
-    and the k+1 bottom Laplacian eigenvalues (blank when degenerate)."""
+    the k+1 bottom Laplacian eigenvalues (blank when degenerate) and, last,
+    why a degenerate candidate failed (blank otherwise)."""
     sigma_cols = [f"sigma_{i + 1}" for i in range(k + 1)]
-    header = ["repeat", "model", "lambda", "kernel", "xi", "offset", "degree", "tau", "reg"] + sigma_cols
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    header = ["repeat", "model", "lambda", "kernel", "xi", "offset", "degree", "tau", "reg"]
+    header += sigma_cols + ["degenerate_reason"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         for rep, scores in enumerate(per_repeat_scores):
             for s in scores:
                 kf = _kernel_fields(s.config)
@@ -173,7 +177,7 @@ def write_candidates_csv(path, per_repeat_scores, k):
                     str(s.config.tau),
                 ]
                 if s.spectrum is None:
-                    row += ["-inf"] + [""] * (k + 1)
+                    row += ["-inf"] + [""] * (k + 1) + [s.degenerate_reason or ""]
                 else:
-                    row += [repr(float(s.reg))] + [repr(float(v)) for v in s.spectrum.sigmas]
-                fh.write(",".join(row) + "\n")
+                    row += [repr(float(s.reg))] + [repr(float(v)) for v in s.spectrum.sigmas] + [""]
+                writer.writerow(row)

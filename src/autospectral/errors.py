@@ -6,14 +6,7 @@ class NumericalError(RuntimeError):
 
 
 class EigsolverError(NumericalError):
-    """Partial eigensolver did not converge within its iteration cap.
-
-    Carries the residual norms achieved so far in ``residuals``.
-    """
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    """Partial eigensolver (ARPACK) did not converge within its iteration cap."""
 
 
 class DegenerateError(RuntimeError):

@@ -99,11 +99,17 @@ def default_search_space():
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """A scored candidate; reg is -inf (and spectrum None) when degenerate."""
+    """A scored candidate; reg is -inf (and spectrum None) when degenerate,
+    and ``degenerate_reason`` then holds the DegenerateError message."""
 
     config: CandidateConfig
     reg: float
     spectrum: object = field(default=None, repr=False)
+    degenerate_reason: str | None = None
+
+
+def _degenerate(config, exc):
+    return CandidateScore(config=config, reg=float("-inf"), degenerate_reason=str(exc))
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,8 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
         C = build_coefficients(X, config, seed=seed)
         graph = postprocess_affinity(C, config.tau)
         spectrum = laplacian_spectrum(graph, k, seed=seed)
-    except DegenerateError:
-        return CandidateScore(config=config, reg=float("-inf"))
+    except DegenerateError as exc:
+        return _degenerate(config, exc)
     return CandidateScore(config=config, reg=relative_eigen_gap(spectrum, eps), spectrum=spectrum)
 
 
@@ -145,8 +151,8 @@ def _score_taus(C, taus, make_config, k, seed, eps, threads):
         try:
             graph = postprocess_affinity(C, tau)
             spectrum = laplacian_spectrum(graph, k, seed=seed)
-        except DegenerateError:
-            return CandidateScore(config=config, reg=float("-inf"))
+        except DegenerateError as exc:
+            return _degenerate(config, exc)
         return CandidateScore(config=config, reg=relative_eigen_gap(spectrum, eps), spectrum=spectrum)
 
     if threads > 1:
@@ -198,10 +204,8 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_re
 
             try:
                 C = build_coefficients(X, make_config(space.taus[0]), seed=seed)
-            except DegenerateError:
-                scores.extend(
-                    CandidateScore(config=make_config(tau), reg=float("-inf")) for tau in space.taus
-                )
+            except DegenerateError as exc:
+                scores.extend(_degenerate(make_config(tau), exc) for tau in space.taus)
                 continue
             scores.extend(_score_taus(C, space.taus, make_config, k, seed, eps, threads))
     return _finish(X, k, scores, seed, score, kmeans_restarts)

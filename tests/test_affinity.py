@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autospectral import affinity
 from autospectral.affinity import (
     CandidateConfig,
     KernelSpec,
@@ -60,6 +62,63 @@ class TestLsr:
     def test_lam_validation(self):
         with pytest.raises(ValueError):
             lsr_coefficients(np.eye(3), 0.0)
+
+
+def unblocked_exact_bandwidth(X, xi):
+    """Reference: the mean over one dense n x n distance matrix."""
+    n = X.shape[1]
+    return xi * (np.sqrt(affinity._pairwise_sq_dists(X, X)).sum() / (n * n))
+
+
+def unblocked_sampled_bandwidth(X, xi, sample_pairs, seed):
+    """Reference: all sampled pairs gathered at once, same draws."""
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, X.shape[1], size=sample_pairs)
+    j = rng.integers(0, X.shape[1], size=sample_pairs)
+    return xi * float(np.linalg.norm(X[:, i] - X[:, j], axis=0).mean())
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestGaussianBandwidth:
+    def test_one_block_is_bit_identical_to_unblocked(self):
+        X = np.random.default_rng(0).standard_normal((60, 300))
+        assert gaussian_bandwidth(X, xi=1.7) == (unblocked_exact_bandwidth(X, 1.7), False)
+
+    def test_several_blocks_match_unblocked(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((6, 50))
+        # 7 rows per block: 8 blocks, the last one partial
+        monkeypatch.setattr(affinity, "_DISTANCE_BLOCK_ENTRIES", 7 * 50)
+        sigma, estimated = gaussian_bandwidth(X, xi=1.3)
+        assert not estimated
+        assert sigma == pytest.approx(unblocked_exact_bandwidth(X, 1.3), rel=1e-12, abs=0)
+        # 64 pairs per chunk: 16 chunks, the last one partial
+        monkeypatch.setattr(affinity, "_DISTANCE_BLOCK_ENTRIES", 6 * 64)
+        sigma, estimated = gaussian_bandwidth(X, xi=0.9, max_exact_n=10, sample_pairs=1000, seed=4)
+        assert estimated
+        expected = unblocked_sampled_bandwidth(X, 0.9, 1000, seed=4)
+        assert sigma == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_exact_path_memory_ceiling(self):
+        # n=3000: one dense distance matrix is 72 MB, the unblocked sum
+        # peaked at 216 MB; the blocked one stays within five 8-MB blocks
+        X = np.random.default_rng(2).standard_normal((5, 3000))
+        assert traced_peak_mb(lambda: gaussian_bandwidth(X)) < 40.0
+
+    def test_sampled_path_memory_ceiling(self):
+        # 50 000 pairs in 256 dimensions: gathering them at once peaked at
+        # 308 MB; in chunks the peak stays within five 8-MB blocks
+        X = np.random.default_rng(3).standard_normal((256, 2000))
+        peak = traced_peak_mb(lambda: gaussian_bandwidth(X, max_exact_n=1000, sample_pairs=50_000))
+        assert peak < 40.0
 
 
 class TestKernelMatrix:

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import os
 import struct
 from pathlib import Path
@@ -13,8 +15,11 @@ from autospectral.dataio import (
     load_labels_csv,
     save_csv,
     save_labels,
+    write_candidates_csv,
 )
+from autospectral.affinity import CandidateConfig, KernelSpec
 from autospectral.errors import DataFormatError
+from autospectral.search import evaluate_candidate
 
 
 class TestCsv:
@@ -80,6 +85,26 @@ def idx_bytes(images, rows, cols):
     for img in images:
         buf += bytes(img)
     return buf
+
+
+class TestCandidatesCsv:
+    def test_degenerate_reason_is_last_column(self, tmp_path):
+        e1, e2 = np.eye(4)[0], np.eye(4)[1]
+        X = np.stack([e1, e1, e1, e2, e2, 0.0 * e2], axis=1)
+        gaussian = KernelSpec("gaussian")
+        degenerate = evaluate_candidate(X, 2, CandidateConfig("lsr", tau=2, lam=0.1))
+        valid = evaluate_candidate(X, 2, CandidateConfig("kernel_direct", tau=2, kernel=gaussian))
+        # a reason with a comma and a quote must survive as one field
+        odd = dataclasses.replace(degenerate, degenerate_reason='bad, "odd" graph')
+        path = tmp_path / "candidates.csv"
+        write_candidates_csv(path, [[degenerate, valid, odd]], k=2)
+        header, *rows = list(csv.reader(path.open(newline="")))
+        assert header[-1] == "degenerate_reason"
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[0][-1] == "a column has no off-diagonal mass"
+        assert rows[0][header.index("reg")] == "-inf"
+        assert rows[1][-1] == "" and rows[1][header.index("reg")] == repr(valid.reg)
+        assert rows[2][-1] == 'bad, "odd" graph'
 
 
 def idx_label_bytes(labels):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
+from conftest import block_affinity, dense_laplacian_eigs, graph_from_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autospectral.errors import NumericalError
+from autospectral import linalg
+from autospectral.errors import EigsolverError, NumericalError
 from autospectral.linalg import partial_sym_eigs, randomized_svd, solve_spd, sym_from_triplets
+from autospectral.spectra import laplacian_spectrum
 
 
 def dense_sym_eigs(M, count):
@@ -136,6 +140,79 @@ class TestPartialSymEigs:
         np.testing.assert_allclose(vals, oracle_vals, atol=1e-8)
         res = np.linalg.norm(M @ vecs - vecs * vals, axis=0)
         assert np.all(res <= 1e-7 * max(np.abs(oracle_vals[0]), 1.0))
+
+
+def normalized_adjacency(A):
+    d = A.sum(axis=1)
+    return sp.csr_matrix(A / np.sqrt(np.outer(d, d)))
+
+
+# DENSE_EIGS_MAX_N values per branch: everything by LAPACK, or every
+# component larger than three rows by ARPACK
+BRANCH_CUTS = {"dense": 10**9, "arpack": 3}
+
+
+class TestEigsolverBranches:
+    @given(
+        k=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 1000),
+        branch=st.sampled_from(sorted(BRANCH_CUTS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_graphs_match_dense_oracle(self, k, data, seed, branch):
+        ncomp = data.draw(st.integers(1, k + 1), label="components")
+        sizes = data.draw(st.lists(st.integers(2, 12), min_size=ncomp, max_size=ncomp), label="sizes")
+        if sum(sizes) < k + 1:
+            sizes[0] += k + 1 - sum(sizes)
+        A = block_affinity(np.random.default_rng(seed), sizes)
+        oracle, _ = dense_laplacian_eigs(A)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "DENSE_EIGS_MAX_N", BRANCH_CUTS[branch])
+            spectrum = laplacian_spectrum(graph_from_dense(A), k, seed=seed)
+        np.testing.assert_allclose(spectrum.sigmas, oracle[: k + 1], atol=1e-8)
+        # one zero eigenvalue per component among the k+1 smallest
+        assert np.sum(spectrum.sigmas < 1e-8) == min(ncomp, k + 1)
+        V = spectrum.vectors
+        np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-8)
+        M = normalized_adjacency(A)
+        res = np.linalg.norm(M @ V - V * (1.0 - spectrum.sigmas[:k]), axis=0)
+        assert np.all(res <= 1e-8)
+
+    @pytest.mark.parametrize("cut", [None, 4], ids=["components-lapack", "components-arpack"])
+    def test_many_components_above_cut_keep_multiplicity(self, monkeypatch, cut):
+        # nine components of mixed sizes, n=314 above the default cut: plain
+        # eigsh on the whole operator (scipy 1.17) found only 3 to 5 of the
+        # 9 copies of eigenvalue 1 from four seeded start vectors; solved per
+        # component, all 9 are there
+        if cut is not None:
+            monkeypatch.setattr(linalg, "DENSE_EIGS_MAX_N", cut)
+        sizes = [68, 51, 41, 23, 26, 5, 7, 3, 90]
+        M = normalized_adjacency(block_affinity(np.random.default_rng(0), sizes, density=0.3))
+        assert M.shape[0] > linalg.DENSE_EIGS_MAX_N
+        vals, vecs = partial_sym_eigs(M, count=11, seed=0)
+        oracle, _ = dense_sym_eigs(M, 11)
+        np.testing.assert_allclose(vals, oracle, atol=1e-10)
+        np.testing.assert_allclose(vals[:9], np.ones(9), atol=1e-12)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(11), atol=1e-10)
+        assert np.all(np.linalg.norm(M @ vecs - vecs * vals, axis=0) <= 1e-10)
+
+    def test_arpack_deterministic_given_seed(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_EIGS_MAX_N", 3)
+        M = normalized_adjacency(block_affinity(np.random.default_rng(2), [9, 14, 7]))
+        a = partial_sym_eigs(M, count=5, seed=4)
+        b = partial_sym_eigs(M, count=5, seed=4)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_arpack_no_convergence_raises_eigsolver_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(linalg, "DENSE_EIGS_MAX_N", 3)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        M = normalized_adjacency(block_affinity(np.random.default_rng(0), [10]))
+        with pytest.raises(EigsolverError, match="ARPACK did not converge"):
+            partial_sym_eigs(M, count=2)
 
 
 class TestSolveSpd:

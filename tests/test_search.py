@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from autospectral import linalg
 from autospectral.affinity import CandidateConfig, KernelSpec
 from autospectral.errors import SearchFailedError
 from autospectral.kmeans import Partition
@@ -178,6 +179,15 @@ class TestEvaluateCandidate:
         cfg = CandidateConfig(model="kernel_direct", tau=1, kernel=KernelSpec("gaussian"))
         cs = evaluate_candidate(X, 2, cfg, seed=0)
         assert cs.reg == float("-inf") and cs.spectrum is None
+        assert cs.degenerate_reason == "gaussian bandwidth is zero: all points identical"
+
+
+def data_with_zero_point():
+    # a zero point has no self-expression: every lsr candidate is degenerate,
+    # while the gaussian similarity still links it to the others
+    e1 = np.array([1.0, 0.0, 0.0, 0.0])
+    e2 = np.array([0.0, 1.0, 0.0, 0.0])
+    return np.stack([e1, e1, e1, e2, e2, 0.0 * e2], axis=1)
 
 
 def subspace_data(seed=0, noise=0.01):
@@ -275,6 +285,38 @@ class TestGridSearch:
         assert [s.reg for s in serial.scores] == [s.reg for s in threaded.scores]
         assert np.array_equal(serial.partition.labels, threaded.partition.labels)
 
+    def test_threads_match_serial_on_arpack_path(self, monkeypatch):
+        # a cut below n sends every Laplacian through the per-component
+        # ARPACK path, so eigsh calls run concurrently in the threaded search
+        monkeypatch.setattr(linalg, "DENSE_EIGS_MAX_N", 20)
+        X, _ = subspace_data(seed=6, noise=0.05)
+        space = SearchSpace(
+            models=(ModelSpec("lsr"), ModelSpec("kernel_direct", KernelSpec("gaussian"))),
+            lambdas=(0.1,),
+            taus=(5, 8, 11, 14),
+        )
+        serial = grid_search(X, 3, space, seed=0, threads=1)
+        threaded = grid_search(X, 3, space, seed=0, threads=3)
+        assert [s.reg for s in serial.scores] == [s.reg for s in threaded.scores]
+        for a, b in zip(serial.scores, threaded.scores):
+            assert np.array_equal(a.spectrum.sigmas, b.spectrum.sigmas)
+        assert np.array_equal(serial.partition.labels, threaded.partition.labels)
+
+    def test_degenerate_reason_recorded(self):
+        space = SearchSpace(
+            models=(ModelSpec("lsr"), ModelSpec("kernel_direct", KernelSpec("gaussian"))),
+            lambdas=(0.1,),
+            taus=(1, 2),
+        )
+        res = grid_search(data_with_zero_point(), 2, space, seed=0)
+        reasons = [(s.config.model, s.degenerate_reason) for s in res.scores]
+        assert reasons == [
+            ("lsr", "a column has no off-diagonal mass"),
+            ("lsr", "a column has no off-diagonal mass"),
+            ("kernel_direct", None),
+            ("kernel_direct", None),
+        ]
+
 
 class TestBoSearch:
     def test_budget_equal_to_initial_design(self):
@@ -283,6 +325,18 @@ class TestBoSearch:
         res = bo_search(X, 3, space, budget_per_model=8, seed=0)
         assert len(res.scores) == 8
         assert res.winner.reg == max(s.reg for s in res.scores)
+
+    def test_threads_match_serial(self):
+        X, _ = subspace_data(seed=8, noise=0.05)
+        space = SearchSpace(
+            models=(ModelSpec("lsr"), ModelSpec("kernel_direct", KernelSpec("gaussian")))
+        )
+        serial = bo_search(X, 3, space, budget_per_model=10, seed=2, threads=1)
+        threaded = bo_search(X, 3, space, budget_per_model=10, seed=2, threads=3)
+        assert [s.config for s in serial.scores] == [s.config for s in threaded.scores]
+        assert [s.reg for s in serial.scores] == [s.reg for s in threaded.scores]
+        assert serial.winner.config == threaded.winner.config
+        assert np.array_equal(serial.partition.labels, threaded.partition.labels)
 
     def test_deterministic_evaluation_sequence(self):
         X, _ = subspace_data(seed=8)

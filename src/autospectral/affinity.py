@@ -4,7 +4,9 @@ A candidate affinity is built in two stages: a dense coefficient matrix C
 from the data (ridge self-expression, its kernel variant, or a direct kernel
 similarity), then a sparsifying post-process (abs + zero diagonal, per-column
 truncation to the tau largest entries, column l1 normalization, and
-symmetrization) that yields the graph handed to the spectral stage.
+symmetrization) that yields the graph handed to the spectral stage. Both
+ridge models get C from one spectral filter of their Gram matrix
+(``ridge_filter``); they differ only in how they factor it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateCandidateError, DegenerateDataError, NumericalError
-from .linalg import check_finite, randomized_svd, solve_spd
+from .linalg import check_finite, randomized_svd
 
 MODEL_LSR = "lsr"
 MODEL_KLSR = "klsr"
@@ -160,35 +162,46 @@ def kernel_matrix(X, spec):
     return (K + K.T) / 2.0
 
 
+def ridge_filter(w, V, lam):
+    """Ridge self-expression C = (G + lam I)^-1 G from G = V diag(w) V'.
+
+    Each eigenpair of the Gram matrix G is damped by w / (w + lam), so
+    C = V diag(w / (w + lam)) V'. Pairs left out of V (a thin or truncated
+    factorization) count as eigenvalue zero and contribute nothing.
+    """
+    return (V * (w / (w + lam))) @ V.T
+
+
 def lsr_coefficients(X, lam):
     """Closed-form ridge self-expression coefficients.
 
-    Solves min_C 0.5 ||X - X C||_F^2 + 0.5 lam ||C||_F^2. The n x n normal
-    equations form is used when m >= n; otherwise the equivalent m x m dual
-    form (push-through identity) is solved, which is cheaper when m < n.
+    Solves min_C 0.5 ||X - X C||_F^2 + 0.5 lam ||C||_F^2, whose solution is
+    C = (X'X + lam I)^-1 X'X. A thin SVD X = U diag(s) V' gives the
+    eigenpairs (s^2, V) of X'X; it is exact whatever the shape or rank of X.
     """
     X = check_finite(X, "X")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    m, n = X.shape
-    if m < n:
-        W = solve_spd(lam * np.eye(m) + X @ X.T, X)
-        return X.T @ W
-    G = X.T @ X
-    return solve_spd(G + lam * np.eye(n), G)
+    try:
+        _, s, Vt = np.linalg.svd(X, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"thin SVD of X failed: {exc}") from exc
+    return ridge_filter(s**2, Vt.T, lam)
 
 
 def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     """Kernel ridge self-expression coefficients C = (K + lam I)^-1 K.
 
-    K is symmetrized before solving. With ``approx_rank`` r, a randomized
-    rank-r factorization K ~ V S V' gives the low-rank form
-    C ~ V diag(s / (lam + s)) V' instead of the exact solve.
+    K is symmetrized, then factored by a full ``eigh``. With ``approx_rank``
+    r, a randomized rank-r range V stands in for the eigenvectors and its
+    Ritz values diag(V' K V) for the eigenvalues, which truncates the filter
+    to the top r pairs.
 
     Raises
     ------
     NumericalError
-        If K is indefinite beyond a 1e-8 tolerance (relative to its scale).
+        If K is indefinite beyond a 1e-8 tolerance (relative to its scale),
+        or the factorization fails.
     """
     K = check_finite(K, "K")
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -198,20 +211,22 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     n = K.shape[0]
     Ks = (K + K.T) / 2.0
     scale = max(np.max(np.abs(Ks)), 1.0)
+    # the low-rank path sees no eigenvalue outside its top r pairs; a
+    # negative diagonal entry still exposes those
     if np.min(np.diagonal(Ks)) < -1e-8 * scale:
         raise NumericalError("kernel matrix is indefinite (negative diagonal)")
-    if approx_rank is None:
-        try:
-            np.linalg.cholesky(Ks + (1e-8 * scale) * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("kernel matrix is indefinite beyond tolerance") from exc
-        return solve_spd(Ks + lam * np.eye(n), Ks)
-    r = min(approx_rank, n)
-    f = randomized_svd(Ks, r, oversample=min(10, n - r), seed=seed)
-    rayleigh = np.einsum("ij,ij->j", f.V, Ks @ f.V)
-    if np.min(rayleigh) < -1e-8 * scale:
+    try:
+        if approx_rank is None:
+            w, V = np.linalg.eigh(Ks)
+        else:
+            r = min(approx_rank, n)
+            V = randomized_svd(Ks, r, oversample=min(10, n - r), seed=seed).V
+            w = np.einsum("ij,ij->j", V, Ks @ V)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"kernel factorization failed: {exc}") from exc
+    if w.min() < -1e-8 * scale:
         raise NumericalError("kernel matrix is indefinite beyond tolerance")
-    return (f.V * (f.s / (lam + f.s))) @ f.V.T
+    return ridge_filter(w, V, lam)
 
 
 def build_coefficients(X, config, seed=0):

@@ -136,10 +136,6 @@ def report_json_bytes(report):
     return (json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
-def write_report(path, report):
-    Path(path).write_bytes(report_json_bytes(report))
-
-
 def _kernel_fields(config):
     k = config.kernel
     if k is None:

@@ -1,10 +1,9 @@
 """Dense and sparse numerical kernels shared by the rest of the package.
 
-Three workhorses live here: a randomized truncated SVD (range finder with
-power iterations), a partial symmetric eigensolver (LAPACK for small
+Two workhorses live here: a randomized truncated SVD (range finder with
+power iterations) and a partial symmetric eigensolver (LAPACK for small
 operators; ARPACK per connected component for large sparse ones, so repeated
-eigenvalues of graph operators keep their multiplicities), and an SPD solve
-backed by a Cholesky factorization with one step of iterative refinement.
+eigenvalues of graph operators keep their multiplicities).
 
 All routines work in float64, are pure functions of their inputs, and are
 deterministic given their seed.
@@ -20,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .errors import EigsolverError, NumericalError
+from .errors import EigsolverError
 
 
 class SvdFactors(NamedTuple):
@@ -37,35 +36,6 @@ def check_finite(M, name="matrix"):
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
-
-
-def sym_from_triplets(dim, rows, cols, values):
-    """Build an exactly-symmetric sparse CSR matrix from (i, j, value) triplets.
-
-    Each triplet is stored canonically (min(i,j), max(i,j)) and mirrored, so
-    the result satisfies ``M.T == M`` at the storage level. Duplicate triplets
-    are summed.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    values = check_finite(values, "values").ravel()
-    if rows.shape != cols.shape or rows.shape != values.shape:
-        raise ValueError("rows, cols, values must have equal length")
-    if rows.size and (rows.min() < 0 or cols.min() < 0 or rows.max() >= dim or cols.max() >= dim):
-        raise ValueError("triplet index out of range")
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    # sum duplicates ourselves: scipy's per-cell accumulation order is not
-    # reproducible across mirrored cells, which would break exact symmetry
-    keys = lo * dim + hi
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    summed = np.bincount(inverse, weights=values, minlength=len(uniq))
-    ulo, uhi = uniq // dim, uniq % dim
-    off = ulo != uhi
-    r = np.concatenate([ulo, uhi[off]])
-    c = np.concatenate([uhi, ulo[off]])
-    v = np.concatenate([summed, summed[off]])
-    return sp.coo_matrix((v, (r, c)), shape=(dim, dim)).tocsr()
 
 
 def randomized_svd(M, rank, oversample=10, power_iters=2, seed=0):
@@ -216,38 +186,3 @@ def _componentwise_top(M, count, seed):
         out[idx, j] = vec
     return values[top], out
 
-
-def solve_spd(G, B):
-    """Solve ``G @ Y = B`` for symmetric positive definite G.
-
-    Cholesky factorization plus one step of iterative refinement when the
-    first residual exceeds 1e-12 * ||B||_F.
-
-    Raises
-    ------
-    NumericalError
-        If the factorization detects a non-SPD matrix.
-    ValueError
-        If G is not symmetric within 1e-8 of its magnitude.
-    """
-    G = check_finite(G, "G")
-    B = check_finite(B, "B")
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError("G must be square")
-    scale = np.max(np.abs(G)) if G.size else 0.0
-    if not np.allclose(G, G.T, rtol=0.0, atol=1e-8 * max(scale, 1.0)):
-        raise ValueError("G must be symmetric")
-    squeeze = B.ndim == 1
-    Bm = B[:, None] if squeeze else B
-    if Bm.shape[0] != G.shape[0]:
-        raise ValueError("G and B dimensions do not match")
-    try:
-        cf = scipy.linalg.cho_factor(G, lower=True, check_finite=False)
-        Y = scipy.linalg.cho_solve(cf, Bm, check_finite=False)
-        bnorm = np.linalg.norm(Bm)
-        R = Bm - G @ Y
-        if np.linalg.norm(R) > 1e-12 * max(bnorm, 1e-300):
-            Y = Y + scipy.linalg.cho_solve(cf, R, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"matrix is not positive definite: {exc}") from exc
-    return Y[:, 0] if squeeze else Y

@@ -292,19 +292,11 @@ def gp_posterior(state, query):
 
 
 def expected_improvement(mu, sigma, g_min):
-    """EI for minimization: E[max(g_min - Y, 0)], Y ~ N(mu, sigma^2)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return max(g_min - mu, 0.0)
-    z = (g_min - mu) / sigma
-    phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    return max((g_min - mu) * cdf + sigma * phi, 0.0)
+    """EI for minimization, E[max(g_min - Y, 0)] with Y ~ N(mu, sigma^2).
 
-
-def _ei_batch(mu, var, g_min):
-    sigma = np.sqrt(var)
+    Elementwise over the 1-d arrays ``mu`` and ``sigma``; where sigma is 0
+    the improvement is deterministic.
+    """
     out = np.maximum(g_min - mu, 0.0)
     pos = sigma > 0
     z = (g_min - mu[pos]) / sigma[pos]
@@ -478,7 +470,7 @@ def _posterior_with_jitter(S, y, amplitude, lengthscales, prior_mean):
 def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
     cand = sobol.random(n_samples)
     mu, var = post.predict(cand)
-    ei = _ei_batch(mu, var, g_min)
+    ei = expected_improvement(mu, np.sqrt(var), g_min)
     order = np.argsort(-ei)[:n_refine]
     d = cand.shape[1]
 
@@ -496,7 +488,7 @@ def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
                 trials[2 * j, j] = min(max(u[j] - step, 0.0), 1.0)
                 trials[2 * j + 1, j] = min(max(u[j] + step, 0.0), 1.0)
             m, v = post.predict(trials)
-            e_trials = _ei_batch(m, v, g_min)
+            e_trials = expected_improvement(m, np.sqrt(v), g_min)
             i_best = int(np.argmax(e_trials))
             if e_trials[i_best] > e + 1e-18:
                 u = trials[i_best]

@@ -1,6 +1,7 @@
 """Shared oracles and graph builders for the test suite."""
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from autospectral.affinity import AffinityGraph
@@ -10,6 +11,11 @@ def graph_from_dense(A):
     """AffinityGraph from a dense symmetric nonnegative zero-diagonal matrix."""
     A = np.asarray(A, dtype=np.float64)
     return AffinityGraph(a=sp.csr_matrix(A), degrees=A.sum(axis=1))
+
+
+def solve_pd(A, B):
+    """Oracle: LAPACK's positive definite solve of A Y = B."""
+    return scipy.linalg.solve(A, B, assume_a="pos")
 
 
 def dense_laplacian_eigs(A):

@@ -19,12 +19,11 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import block_affinity, graph_from_dense, random_affinity
+from conftest import block_affinity, graph_from_dense, random_affinity, solve_pd
 from autospectral.affinity import KernelSpec, kernel_matrix, lsr_coefficients
 from autospectral.cli import run_cli
 from autospectral.dataio import load_idx, save_csv
 from autospectral.kmeans import Partition, kmeans
-from autospectral.linalg import solve_spd
 from autospectral.metrics import clustering_accuracy, mncut, nmi, partition_distance
 from autospectral.netembed import NetConfig, landmark_cluster, net_loss_and_grad
 from autospectral.search import bo_search, default_search_space, grid_search
@@ -72,10 +71,10 @@ def test_01_closed_form_correctness():
         X = rng.standard_normal((m, n))
         C = lsr_coefficients(X, lam)
         G = X.T @ X
-        oracle = np.stack([solve_spd(G + lam * np.eye(n), G[:, j]) for j in range(n)], axis=1)
+        oracle = np.stack([solve_pd(G + lam * np.eye(n), G[:, j]) for j in range(n)], axis=1)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(C - oracle))))
-        dual = X.T @ solve_spd(lam * np.eye(m) + X @ X.T, X)
-        primal = solve_spd(G + lam * np.eye(n), G)
+        dual = X.T @ solve_pd(lam * np.eye(m) + X @ X.T, X)
+        primal = solve_pd(G + lam * np.eye(n), G)
         worst_identity = max(worst_identity, float(np.max(np.abs(primal - dual))))
     elapsed = time.perf_counter() - t0
     ok = worst_oracle <= 1e-8 and worst_identity <= 1e-8 and elapsed < 1.0

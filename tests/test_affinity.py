@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import solve_pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from autospectral.affinity import (
     postprocess_affinity,
 )
 from autospectral.errors import DegenerateCandidateError, DegenerateDataError, NumericalError
-from autospectral.linalg import solve_spd
 from autospectral.synthetic import random_poly_curves
 
 
@@ -26,7 +26,7 @@ def lsr_oracle(X, lam):
     """Column-by-column normal-equations solve of (X'X + lam I) c = X'X."""
     n = X.shape[1]
     G = X.T @ X
-    cols = [solve_spd(G + lam * np.eye(n), G[:, j]) for j in range(n)]
+    cols = [solve_pd(G + lam * np.eye(n), G[:, j]) for j in range(n)]
     return np.stack(cols, axis=1)
 
 
@@ -41,27 +41,42 @@ class TestLsr:
         np.testing.assert_allclose(C, lsr_oracle(X, 0.1), atol=1e-8)
 
     def test_primal_dual_agreement_tall(self):
-        # 8x5 data goes through the primal path; compare against the dual form
+        # tall 8x5 data against the m x m dual form
         rng = np.random.default_rng(1)
         X = rng.standard_normal((8, 5))
         C = lsr_coefficients(X, 0.5)
-        dual = X.T @ solve_spd(0.5 * np.eye(8) + X @ X.T, X)
+        dual = X.T @ solve_pd(0.5 * np.eye(8) + X @ X.T, X)
         assert np.max(np.abs(C - dual)) <= 1e-8
 
-    @given(m=st.integers(2, 12), n=st.integers(2, 12), seed=st.integers(0, 500))
+    @given(
+        m=st.integers(2, 12),
+        n=st.integers(2, 12),
+        seed=st.integers(0, 500),
+        duplicate=st.booleans(),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_push_through_identity_all_shapes(self, m, n, seed):
+    def test_push_through_identity_all_shapes(self, m, n, seed, duplicate):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((m, n))
+        if duplicate:
+            X[:, -1] = X[:, 0]  # rank-deficient: X'X is singular
         lam = 0.3
-        primal = solve_spd(X.T @ X + lam * np.eye(n), X.T @ X)
-        dual = X.T @ solve_spd(lam * np.eye(m) + X @ X.T, X)
+        primal = solve_pd(X.T @ X + lam * np.eye(n), X.T @ X)
+        dual = X.T @ solve_pd(lam * np.eye(m) + X @ X.T, X)
         assert np.max(np.abs(primal - dual)) <= 1e-8
         np.testing.assert_allclose(lsr_coefficients(X, lam), primal, atol=1e-8)
 
     def test_lam_validation(self):
         with pytest.raises(ValueError):
             lsr_coefficients(np.eye(3), 0.0)
+
+    def test_svd_failure_raises_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            lsr_coefficients(np.eye(3), 0.1)
 
 
 def unblocked_exact_bandwidth(X, xi):
@@ -196,6 +211,14 @@ class TestKlsr:
         with pytest.raises(NumericalError):
             klsr_coefficients(K, 1.0, approx_rank=3, seed=0)
 
+    def test_eigh_failure_raises_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match="did not converge"):
+            klsr_coefficients(np.eye(3), 1.0)
+
 
 class TestBuildCoefficients:
     def test_lsr_dispatch(self):
@@ -220,7 +243,7 @@ class TestBuildCoefficients:
         cfg = CandidateConfig(model="klsr", tau=2, lam=0.3, kernel=spec)
         C = build_coefficients(X, cfg)
         K = kernel_matrix(X, spec)
-        oracle = solve_spd(K + 0.3 * np.eye(6), K)
+        oracle = solve_pd(K + 0.3 * np.eye(6), K)
         assert np.max(np.abs(C - oracle)) <= 1e-8
 
     def test_config_validation(self):
@@ -331,8 +354,9 @@ class TestLocalityBound:
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
     def test_single_column_regression_coefficient_gap(self, seed):
-        # solving the one-column kernel ridge problem directly: coefficient
-        # differences are bounded by the feature-space distance of the points
+        # one-column kernel ridge, min_c ||phi(y) - Phi c||^2 + lam ||c||^2:
+        # its optimality condition lam c = Phi' r, with residual
+        # r = phi(y) - Phi c, gives |c_i - c_j| <= ||phi_i - phi_j|| ||r|| / lam
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((3, 8))
         y = rng.standard_normal(3)
@@ -342,7 +366,8 @@ class TestLocalityBound:
         ky = np.exp(-((X - y[:, None]) ** 2).sum(axis=0) / (2 * sigma**2))
         lam = 0.4
         c = np.linalg.solve(K + lam * np.eye(8), ky)
+        r_norm = math.sqrt(max(1.0 - 2.0 * c @ ky + c @ K @ c, 0.0))
         for i in range(8):
             for j in range(8):
-                bound = math.sqrt(max(2.0 - 2.0 * math.exp(-sq[i, j] / (2 * sigma**2)), 0.0))
-                assert abs(c[i] - c[j]) <= bound + 1e-12
+                dist = math.sqrt(max(2.0 - 2.0 * math.exp(-sq[i, j] / (2 * sigma**2)), 0.0))
+                assert abs(c[i] - c[j]) <= dist * r_norm / lam + 1e-12

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autospectral import linalg
-from autospectral.errors import EigsolverError, NumericalError
-from autospectral.linalg import partial_sym_eigs, randomized_svd, solve_spd, sym_from_triplets
+from autospectral.errors import EigsolverError
+from autospectral.linalg import partial_sym_eigs, randomized_svd
 from autospectral.spectra import laplacian_spectrum
 
 
@@ -213,54 +213,6 @@ class TestEigsolverBranches:
         M = normalized_adjacency(block_affinity(np.random.default_rng(0), [10]))
         with pytest.raises(EigsolverError, match="ARPACK did not converge"):
             partial_sym_eigs(M, count=2)
-
-
-class TestSolveSpd:
-    def test_scaled_identity(self):
-        Y = solve_spd(2.0 * np.eye(4), np.eye(4))
-        np.testing.assert_allclose(Y, 0.5 * np.eye(4), atol=1e-12)
-
-    def test_identity_returns_rhs(self):
-        rng = np.random.default_rng(2)
-        B = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(solve_spd(np.eye(5), B), B, atol=1e-14)
-
-    def test_residual_bound_random_spd(self):
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal((10, 10))
-        G = A.T @ A + np.eye(10)
-        B = rng.standard_normal((10, 4))
-        Y = solve_spd(G, B)
-        assert np.linalg.norm(G @ Y - B) <= 1e-10 * np.linalg.norm(B)
-
-    def test_non_spd_raises(self):
-        with pytest.raises(NumericalError):
-            solve_spd(np.diag([1.0, -1.0]), np.ones(2))
-
-    def test_asymmetric_raises(self):
-        with pytest.raises(ValueError):
-            solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
-
-
-class TestSymTriplets:
-    @given(
-        dim=st.integers(1, 10),
-        seed=st.integers(0, 1000),
-        nnz=st.integers(0, 30),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_storage_level_symmetry(self, dim, seed, nnz):
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, dim, size=nnz)
-        cols = rng.integers(0, dim, size=nnz)
-        vals = rng.standard_normal(nnz)
-        M = sym_from_triplets(dim, rows, cols, vals)
-        diff = M - M.T
-        assert diff.nnz == 0 or np.all(diff.data == 0.0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            sym_from_triplets(2, [0, 2], [1, 1], [1.0, 1.0])
 
 
 def scipy_block_diag(blocks):

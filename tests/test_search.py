@@ -86,12 +86,17 @@ class TestGpPosterior:
         assert var == pytest.approx(var_o, abs=1e-10)
 
 
+def ei(mu, sigma, g_min):
+    """expected_improvement at a single point."""
+    return float(expected_improvement(np.array([mu]), np.array([sigma]), g_min)[0])
+
+
 class TestExpectedImprovement:
     def test_zero_sigma_at_incumbent(self):
-        assert expected_improvement(1.0, 0.0, 1.0) == 0.0
+        assert ei(1.0, 0.0, 1.0) == 0.0
 
     def test_at_incumbent_unit_sigma(self):
-        assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
+        assert ei(0.0, 1.0, 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(2)
@@ -103,18 +108,20 @@ class TestExpectedImprovement:
             vals = np.maximum(g_min - samples, 0.0)
             mc = vals.mean()
             se = vals.std() / math.sqrt(len(vals))
-            assert abs(expected_improvement(mu, sigma, g_min) - mc) <= 3 * se + 1e-12
+            assert abs(ei(mu, sigma, g_min) - mc) <= 3 * se + 1e-12
 
     def test_nonnegative_and_monotone_in_sigma(self):
+        # 50 points in one call, every third with sigma 0 on the smaller side
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            mu = float(rng.normal())
-            g_min = mu + abs(rng.normal())  # mu < g_min
-            s1, s2 = sorted(rng.random(2) * 2)
-            e1 = expected_improvement(mu, s1, g_min)
-            e2 = expected_improvement(mu, s2, g_min)
-            assert e1 >= 0 and e2 >= 0
-            assert e2 >= e1 - 1e-12
+        mu = rng.normal(size=50)
+        g_min = 0.5
+        s1, s2 = np.sort(rng.random((2, 50)) * 2, axis=0)
+        s1[::3] = 0.0
+        e1 = expected_improvement(mu, s1, g_min)
+        e2 = expected_improvement(mu, s2, g_min)
+        assert np.all(e1 >= 0) and np.all(e2 >= 0)
+        assert np.all(e2 >= e1 - 1e-12)
+        np.testing.assert_array_equal(e1, [ei(m, s, g_min) for m, s in zip(mu, s1)])
 
 
 class TestFitGpHyperparams:

@@ -12,6 +12,7 @@ ridge models get C from one spectral filter of their Gram matrix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -239,33 +240,56 @@ def build_coefficients(X, config, seed=0):
     return klsr_coefficients(K, config.lam, approx_rank=config.approx_rank, seed=seed)
 
 
+class RankedColumns(NamedTuple):
+    """W = |C| with a zeroed diagonal, and the row order of each column of W
+    by decreasing value (ties by lowest row index)."""
+
+    w: np.ndarray
+    order: np.ndarray
+
+
+def rank_columns(C):
+    """The part of ``postprocess_affinity`` that depends on C alone.
+
+    One stable sort per column serves every truncation level: level tau
+    keeps the rows ``order[:tau]`` of each column.
+
+    Raises
+    ------
+    DegenerateCandidateError
+        If any column is entirely zero after abs/zero-diagonal.
+    """
+    C = check_finite(C, "C")
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise ValueError("C must be square")
+    W = np.abs(C)
+    np.fill_diagonal(W, 0.0)
+    if np.any(W.sum(axis=0) == 0.0):
+        raise DegenerateCandidateError("a column has no off-diagonal mass")
+    # stable argsort on -W: equal values keep ascending row order
+    return RankedColumns(W, np.argsort(-W, axis=0, kind="stable"))
+
+
 def postprocess_affinity(C, tau):
     """Sparsify a coefficient matrix into an affinity graph.
 
     In order: absolute value with zeroed diagonal, per-column truncation to
     the tau largest entries (ties broken by lowest row index), column l1
-    normalization, symmetrization A = (C + C')/2. The input C is left
-    untouched so one C can be reused across a grid of tau values.
+    normalization, symmetrization A = (C + C')/2. ``C`` is a coefficient
+    matrix, left untouched, or its ``rank_columns``, which lets a grid of
+    tau values share one sort.
 
     Raises
     ------
     DegenerateCandidateError
-        If any column is entirely zero after abs/zero-diagonal, or any vertex
-        of the symmetrized graph has zero degree.
+        If any column is entirely zero after abs/zero-diagonal or after
+        truncation, or any vertex of the symmetrized graph has zero degree.
     """
-    C = check_finite(C, "C")
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("C must be square")
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    n = C.shape[0]
-    W = np.abs(C)
-    np.fill_diagonal(W, 0.0)
-    if np.any(W.sum(axis=0) == 0.0):
-        raise DegenerateCandidateError("a column has no off-diagonal mass")
+    W, order = C if isinstance(C, RankedColumns) else rank_columns(C)
+    n = W.shape[0]
     if tau < n - 1:
-        # stable argsort on -W: equal values keep ascending row order
-        order = np.argsort(-W, axis=0, kind="stable")
         keep = np.zeros_like(W, dtype=bool)
         np.put_along_axis(keep, order[:tau, :], True, axis=0)
         W = np.where(keep, W, 0.0)

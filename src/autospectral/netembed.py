@@ -63,10 +63,10 @@ class NetConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
-class GradBlocks(NamedTuple):
-    """Gradient with one array per parameter block (not validated: a diverged
-    step legitimately produces non-finite values that training turns into a
-    TrainingDivergedError)."""
+class Blocks(NamedTuple):
+    """One array per parameter block: a gradient, or the weights while they
+    train. Not validated: a diverged step legitimately produces non-finite
+    values, which training turns into a TrainingDivergedError."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -87,10 +87,21 @@ def _act_grad(A, kind):
     return 1.0 - t * t
 
 
-def net_forward(params, X, activation="relu"):
-    """W2 act(W1 X + b1 1') + b2 1': the learned embedding of the columns of X."""
+def _embed(params, X, activation):
     A = params.w1 @ X + params.b1[:, None]
     return params.w2 @ _act(A, activation) + params.b2[:, None]
+
+
+def _loss(params, R, ridge):
+    s = R.shape[1]
+    return float(np.sum(R * R)) / (2.0 * s) + 0.5 * ridge * (
+        float(np.sum(params.w1**2)) + float(np.sum(params.w2**2))
+    )
+
+
+def net_forward(params, X, activation="relu"):
+    """W2 act(W1 X + b1 1') + b2 1': the learned embedding of the columns of X."""
+    return _embed(params, X, activation)
 
 
 def net_loss_and_grad(params, X, Z, ridge, activation="relu"):
@@ -104,15 +115,13 @@ def net_loss_and_grad(params, X, Z, ridge, activation="relu"):
         A = params.w1 @ X + params.b1[:, None]
         H = _act(A, activation)
         R = params.w2 @ H + params.b2[:, None] - Z
-        loss = float(np.sum(R * R)) / (2.0 * s) + 0.5 * ridge * (
-            float(np.sum(params.w1**2)) + float(np.sum(params.w2**2))
-        )
+        loss = _loss(params, R, ridge)
         dw2 = (R @ H.T) / s + ridge * params.w2
         db2 = R.sum(axis=1) / s
         dA = (params.w2.T @ R) * _act_grad(A, activation)
         dw1 = (dA @ X.T) / s + ridge * params.w1
         db1 = dA.sum(axis=1) / s
-    return loss, GradBlocks(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return loss, Blocks(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
 def net_train(X, Z, config):
@@ -126,7 +135,8 @@ def net_train(X, Z, config):
     Raises
     ------
     TrainingDivergedError
-        On a non-finite full-batch loss, carrying the epoch index.
+        On non-finite parameters or full-batch loss, checked at the end of
+        every epoch, carrying the epoch index.
     """
     X = check_finite(X, "X")
     Z = check_finite(Z, "Z")
@@ -138,21 +148,24 @@ def net_train(X, Z, config):
         raise ValueError("batch_size exceeds the number of training columns")
     rng = np.random.default_rng(config.seed)
     d = config.hidden
-    params = MLPParams(
+    # updated in place; checked once per epoch, when they become MLPParams
+    weights = Blocks(
         w1=rng.standard_normal((d, m)) * np.sqrt(2.0 / m),
         b1=np.zeros(d),
         w2=rng.standard_normal((kdim, d)) * np.sqrt(2.0 / d),
         b2=np.zeros(kdim),
     )
-    mom = {name: np.zeros_like(getattr(params, name)) for name in ("w1", "b1", "w2", "b2")}
-    vel = {name: np.zeros_like(getattr(params, name)) for name in ("w1", "b1", "w2", "b2")}
+    mom = Blocks(*(np.zeros_like(w) for w in weights))
+    vel = Blocks(*(np.zeros_like(w) for w in weights))
+    beta1, beta2 = config.beta1, config.beta2
     t = 0
 
-    def full_loss():
-        loss, _ = net_loss_and_grad(params, X, Z, config.ridge, config.activation)
-        return loss
+    def full_loss(p):
+        # forward only, and not through net_forward, which tracers wrap
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _loss(p, _embed(p, X, config.activation) - Z, config.ridge)
 
-    losses = [full_loss()]
+    losses = [full_loss(weights)]
     if not np.isfinite(losses[0]):
         raise TrainingDivergedError("non-finite loss before training", epoch=0)
     for epoch in range(config.epochs):
@@ -160,27 +173,25 @@ def net_train(X, Z, config):
         for start in range(0, s, config.batch_size):
             idx = order[start : start + config.batch_size]
             _, grads = net_loss_and_grad(
-                params, X[:, idx], Z[:, idx], config.ridge, config.activation
+                weights, X[:, idx], Z[:, idx], config.ridge, config.activation
             )
             t += 1
-            updated = {}
             with np.errstate(over="ignore", invalid="ignore"):
-                for name in ("w1", "b1", "w2", "b2"):
-                    g = getattr(grads, name)
-                    mom[name] = config.beta1 * mom[name] + (1.0 - config.beta1) * g
-                    vel[name] = config.beta2 * vel[name] + (1.0 - config.beta2) * g * g
-                    mhat = mom[name] / (1.0 - config.beta1**t)
-                    vhat = vel[name] / (1.0 - config.beta2**t)
-                    updated[name] = getattr(params, name) - config.lr * mhat / (
-                        np.sqrt(vhat) + config.eps_adam
-                    )
-            try:
-                params = MLPParams(**updated)
-            except ValueError as exc:
-                raise TrainingDivergedError(
-                    f"non-finite parameters at epoch {epoch}", epoch=epoch
-                ) from exc
-        loss = full_loss()
+                for w, mo, ve, g in zip(weights, mom, vel, grads):
+                    mo *= beta1
+                    mo += (1.0 - beta1) * g
+                    ve *= beta2
+                    ve += ((1.0 - beta2) * g) * g
+                    mhat = mo / (1.0 - beta1**t)
+                    vhat = ve / (1.0 - beta2**t)
+                    w -= config.lr * mhat / (np.sqrt(vhat) + config.eps_adam)
+        try:
+            params = MLPParams(*(w.copy() for w in weights))
+        except ValueError as exc:
+            raise TrainingDivergedError(
+                f"non-finite parameters at epoch {epoch}", epoch=epoch
+            ) from exc
+        loss = full_loss(params)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         losses.append(loss)
@@ -202,10 +213,12 @@ def landmark_cluster(
 ):
     """Landmark search + learned embedding for datasets too large to search directly.
 
-    k-means centers stand in as landmarks (re-normalized to unit columns,
-    which the search pipeline expects); the candidate search runs on the
-    landmarks; the network learns landmark -> embedding and is applied to all
-    of X; k-means on the result gives the final partition.
+    The centers of one k-means run stand in as landmarks (re-normalized to
+    unit columns, which the search pipeline expects): they summarise X for
+    the search, so restarts that only lower the inertia are not worth their
+    cost. The candidate search runs on the landmarks; the network learns
+    landmark -> embedding and is applied to all of X; k-means on the result
+    gives the final partition.
 
     Returns
     -------

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .affinity import (
     MODEL_KERNEL_DIRECT,
@@ -27,6 +26,7 @@ from .affinity import (
     build_coefficients,
     default_approx_rank,
     postprocess_affinity,
+    rank_columns,
 )
 from .errors import DegenerateError, NumericalError, SearchFailedError
 from .kmeans import Partition, kmeans
@@ -144,12 +144,17 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
 
 
 def _score_taus(C, taus, make_config, k, seed, eps, threads):
-    """Post-process one coefficient matrix across the tau grid."""
+    """Post-process one coefficient matrix across the tau grid, sorting its
+    columns once for every tau."""
+    try:
+        ranked = rank_columns(C)
+    except DegenerateError as exc:
+        return [_degenerate(make_config(tau), exc) for tau in taus]
 
     def one(tau):
         config = make_config(tau)
         try:
-            graph = postprocess_affinity(C, tau)
+            graph = postprocess_affinity(ranked, tau)
             spectrum = laplacian_spectrum(graph, k, seed=seed)
         except DegenerateError as exc:
             return _degenerate(config, exc)
@@ -181,10 +186,11 @@ def _finish(X, k, scores, seed, kind, kmeans_restarts):
 def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_restarts=10):
     """Evaluate the full (model, lambda, tau) grid and cluster the winner.
 
-    The coefficient matrix is built once per (model, lambda) and reused
-    read-only across all tau values. Models that take no ridge weight (the
-    direct kernel similarity) are evaluated once per tau. Ties on the
-    objective go to the first candidate in model -> lambda -> tau order.
+    The coefficient matrix is built once per (model, lambda), and its
+    columns are sorted once (``rank_columns``): each tau keeps the first tau
+    rows of that order. Models that take no ridge weight (the direct kernel
+    similarity) are evaluated once per tau. Ties on the objective go to the
+    first candidate in model -> lambda -> tau order.
     """
     X = check_finite(X, "X")
     if score not in SCORE_KINDS:
@@ -247,15 +253,6 @@ def _matern_cross(A, B, amplitude, lengthscales):
     return amplitude * (1.0 + sq5r + (5.0 / 3.0) * r2) * np.exp(-sq5r)
 
 
-def matern52_ard(s, s2, amplitude, lengthscales):
-    """Matern-5/2 kernel with per-dimension length scales."""
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    s2 = np.atleast_1d(np.asarray(s2, dtype=np.float64))
-    if s.shape != s2.shape:
-        raise ValueError("points must have equal dimension")
-    return float(_matern_cross(s[None, :], s2[None, :], amplitude, lengthscales)[0, 0])
-
-
 class _Posterior:
     """Factored GP posterior supporting batched queries."""
 
@@ -279,18 +276,6 @@ class _Posterior:
         return mu, var
 
 
-def gp_posterior(state, query):
-    """Posterior mean and variance at one query point.
-
-    Raises NumericalError when the Gram factorization fails; callers respond
-    by increasing the jitter.
-    """
-    if state.S.shape[0] < 1:
-        raise ValueError("need at least one observation")
-    mu, var = _Posterior(state).predict(np.atleast_1d(query)[None, :])
-    return float(mu[0]), float(var[0])
-
-
 def expected_improvement(mu, sigma, g_min):
     """EI for minimization, E[max(g_min - Y, 0)] with Y ~ N(mu, sigma^2).
 
@@ -312,6 +297,10 @@ def _sobol_unit_starts(d, n):
     """Fixed scrambled low-discrepancy start points in the unit box, cached."""
     key = (d, n)
     if key not in _SOBOL_START_CACHE:
+        # imported here, not at the top: scipy.stats is about half of the
+        # package's import time, and only BO draws Sobol points
+        from scipy.stats import qmc
+
         _SOBOL_START_CACHE[key] = qmc.Sobol(d, scramble=True, seed=0).random(n)
     return _SOBOL_START_CACHE[key]
 
@@ -507,6 +496,8 @@ def _bo_one_model(X, k, model, space, budget_per_model, init_design, child, seed
     dims = bo_dimensions(model, space)
     lo = np.array([d[1] for d in dims], dtype=np.float64)
     hi = np.array([d[2] for d in dims], dtype=np.float64)
+    from scipy.stats import qmc
+
     sobol = qmc.Sobol(len(dims), scramble=True, seed=np.random.default_rng(child))
 
     scores = []

@@ -95,8 +95,6 @@ def test_k_validation():
     with pytest.raises(ValueError):
         kmeans(np.zeros((2, 3)), 2, restarts=0)
     with pytest.raises(ValueError):
-        kmeans_centers(np.zeros((2, 3)), 2, restarts=0)
-    with pytest.raises(ValueError):
         kmeans_centers(np.zeros((2, 3)), 4)
 
 
@@ -127,6 +125,14 @@ class TestCenters:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((2, 20))
         assert np.array_equal(kmeans_centers(X, 4, seed=11), kmeans_centers(X, 4, seed=11))
+
+    def test_one_run_from_the_first_spawned_stream(self):
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((3, 80))
+        for seed in (0, 11):
+            child = np.random.SeedSequence(seed).spawn(1)[0]
+            _, centers, _, _ = lloyd_iterations(X.T.copy(), 5, np.random.default_rng(child))
+            assert np.array_equal(kmeans_centers(X, 5, seed=seed), centers.T)
 
 
 def test_partition_from_labels_contiguous():

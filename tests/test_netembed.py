@@ -174,6 +174,80 @@ class TestTrain:
         assert out.shape == (2, 30)
 
 
+def reference_train(X, Z, config):
+    """The straightforward Adam loop: full gradient for every epoch loss,
+    fresh moment arrays and validated parameters on every step."""
+    rng = np.random.default_rng(config.seed)
+    (m, s), kdim, d = X.shape, Z.shape[0], config.hidden
+    params = MLPParams(
+        w1=rng.standard_normal((d, m)) * np.sqrt(2.0 / m),
+        b1=np.zeros(d),
+        w2=rng.standard_normal((kdim, d)) * np.sqrt(2.0 / d),
+        b2=np.zeros(kdim),
+    )
+    names = ("w1", "b1", "w2", "b2")
+    mom = {n: np.zeros_like(getattr(params, n)) for n in names}
+    vel = {n: np.zeros_like(getattr(params, n)) for n in names}
+    t = 0
+    losses = [net_loss_and_grad(params, X, Z, config.ridge, config.activation)[0]]
+    for epoch in range(config.epochs):
+        order = rng.permutation(s)
+        for start in range(0, s, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, grads = net_loss_and_grad(params, X[:, idx], Z[:, idx], config.ridge, config.activation)
+            t += 1
+            updated = {}
+            with np.errstate(over="ignore", invalid="ignore"):
+                for n in names:
+                    g = getattr(grads, n)
+                    mom[n] = config.beta1 * mom[n] + (1.0 - config.beta1) * g
+                    vel[n] = config.beta2 * vel[n] + (1.0 - config.beta2) * g * g
+                    mhat = mom[n] / (1.0 - config.beta1**t)
+                    vhat = vel[n] / (1.0 - config.beta2**t)
+                    updated[n] = getattr(params, n) - config.lr * mhat / (np.sqrt(vhat) + config.eps_adam)
+            try:
+                params = MLPParams(**updated)
+            except ValueError:
+                raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}", epoch=epoch) from None
+        loss = net_loss_and_grad(params, X, Z, config.ridge, config.activation)[0]
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
+        losses.append(loss)
+    return params, np.asarray(losses)
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_bit_identical(self, activation):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((7, 45))
+        Z = rng.standard_normal((3, 45))
+        # 45 columns in batches of 10 end every epoch on a partial batch
+        cfg = NetConfig(hidden=9, ridge=1e-3, epochs=12, batch_size=10, lr=1e-2, activation=activation, seed=4)
+        params, losses = net_train(X, Z, cfg)
+        ref_params, ref_losses = reference_train(X, Z, cfg)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(params, name), getattr(ref_params, name))
+        assert np.array_equal(losses, ref_losses)
+
+    @pytest.mark.parametrize("batch_size", [5, 20])
+    def test_divergence_at_the_same_epoch(self, batch_size):
+        # a step of ~1e100 overflows the next forward pass: with four steps
+        # an epoch the parameters turn non-finite mid-epoch, with one step
+        # the epoch's loss does
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((3, 20))
+        Z = rng.standard_normal((2, 20))
+        cfg = NetConfig(hidden=4, epochs=3, batch_size=batch_size, lr=1e100, seed=0)
+        with pytest.raises(TrainingDivergedError) as err:
+            net_train(X, Z, cfg)
+        with pytest.raises(TrainingDivergedError) as ref:
+            reference_train(X, Z, cfg)
+        assert (err.value.epoch, str(err.value)) == (ref.value.epoch, str(ref.value))
+        what = "parameters" if batch_size == 5 else "loss"
+        assert str(err.value) == f"non-finite {what} at epoch 0"
+
+
 class TestConstructedSolution:
     def test_block_indicator_network_separates_subspaces(self):
         # orthogonal subspace bases stacked as the first layer, block-indicator

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import autospectral
 from autospectral import linalg
-from autospectral.affinity import CandidateConfig, KernelSpec
+from autospectral.affinity import CandidateConfig, KernelSpec, build_coefficients
 from autospectral.errors import SearchFailedError
 from autospectral.kmeans import Partition
 from autospectral.metrics import clustering_accuracy
@@ -18,29 +23,29 @@ from autospectral.search import (
     default_search_space,
     evaluate_candidate,
     expected_improvement,
+    _matern_cross,
+    _Posterior,
     fit_gp_hyperparams,
-    gp_posterior,
     grid_search,
-    matern52_ard,
 )
 from autospectral.synthetic import random_subspaces
 
 
 class TestMatern:
     def test_same_point_gives_amplitude(self):
-        s = np.array([0.3, -1.2])
-        assert matern52_ard(s, s, 2.5, np.array([1.0, 2.0])) == pytest.approx(2.5)
+        S = np.array([[0.3, -1.2], [2.0, 0.5]])
+        K = _matern_cross(S, S, 2.5, np.array([1.0, 2.0]))
+        np.testing.assert_allclose(np.diag(K), 2.5, rtol=1e-6)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            a, b = rng.standard_normal(3), rng.standard_normal(3)
-            ls = rng.random(3) + 0.5
-            assert matern52_ard(a, b, 1.3, ls) == pytest.approx(matern52_ard(b, a, 1.3, ls))
+        A, B = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
+        ls = rng.random(3) + 0.5
+        np.testing.assert_allclose(_matern_cross(A, B, 1.3, ls), _matern_cross(B, A, 1.3, ls).T, rtol=1e-6)
 
     def test_unit_distance_value(self):
         # scalar formula oracle at r^2 = 1
-        v = matern52_ard(np.array([1.0]), np.array([0.0]), 1.0, np.array([1.0]))
+        v = _matern_cross(np.array([[1.0]]), np.array([[0.0]]), 1.0, np.array([1.0]))[0, 0]
         expected = (1 + math.sqrt(5) + 5 / 3) * math.exp(-math.sqrt(5))
         assert v == pytest.approx(expected, abs=1e-12)
         assert v == pytest.approx(0.52399, abs=1e-5)
@@ -52,10 +57,9 @@ class TestGpPosterior:
         S = rng.random((6, 2))
         y = rng.standard_normal(6)
         state = GPState(S=S, y=y, amplitude=1.0, lengthscales=np.array([0.5, 0.5]))
-        for i in range(6):
-            mu, var = gp_posterior(state, S[i])
-            assert mu == pytest.approx(y[i], abs=1e-4)
-            assert var <= 1e-4
+        mu, var = _Posterior(state).predict(S)
+        np.testing.assert_allclose(mu, y, rtol=0, atol=1e-4)
+        assert np.all(var <= 1e-4)
 
     def test_reverts_to_prior_far_away(self):
         S = np.zeros((3, 2))
@@ -65,9 +69,9 @@ class TestGpPosterior:
         state = GPState(
             S=S, y=y, amplitude=1.7, lengthscales=np.array([0.1, 0.1]), prior_mean=float(y.mean())
         )
-        mu, var = gp_posterior(state, np.array([50.0, 50.0]))
-        assert mu == pytest.approx(y.mean(), abs=1e-3)
-        assert var == pytest.approx(1.7, abs=1e-3)
+        mu, var = _Posterior(state).predict(np.array([[50.0, 50.0]]))
+        assert mu[0] == pytest.approx(y.mean(), abs=1e-3)
+        assert var[0] == pytest.approx(1.7, abs=1e-3)
 
     def test_matches_direct_inversion_oracle(self):
         S = np.array([[0.0], [0.5], [1.3]])
@@ -75,15 +79,15 @@ class TestGpPosterior:
         amp, ls, jitter = 1.2, np.array([0.7]), 1e-8
         mean = float(y.mean())
         state = GPState(S=S, y=y, amplitude=amp, lengthscales=ls, jitter=jitter, prior_mean=mean)
-        q = np.array([0.8])
-        K = np.array([[matern52_ard(a, b, amp, ls) for b in S] for a in S]) + jitter * np.eye(3)
-        kstar = np.array([matern52_ard(a, q, amp, ls) for a in S])
+        Q = np.array([[0.8], [-0.3], [2.0]])
+        K = _matern_cross(S, S, amp, ls) + jitter * np.eye(3)
+        kstar = _matern_cross(S, Q, amp, ls)
         Kinv = np.linalg.inv(K)
-        mu_o = mean + kstar @ Kinv @ (y - mean)
-        var_o = amp - kstar @ Kinv @ kstar
-        mu, var = gp_posterior(state, q)
-        assert mu == pytest.approx(mu_o, abs=1e-10)
-        assert var == pytest.approx(var_o, abs=1e-10)
+        mu_o = mean + kstar.T @ Kinv @ (y - mean)
+        var_o = amp - np.einsum("iq,ij,jq->q", kstar, Kinv, kstar)
+        mu, var = _Posterior(state).predict(Q)
+        np.testing.assert_allclose(mu, mu_o, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(var, var_o, rtol=0, atol=1e-10)
 
 
 def ei(mu, sigma, g_min):
@@ -140,8 +144,6 @@ class TestFitGpHyperparams:
         # sample from a GP with unit amplitude and unit length scales
         rng = np.random.default_rng(4)
         S = rng.random((60, 2)) * 4.0
-        from autospectral.search import _matern_cross
-
         K = _matern_cross(S, S, 1.0, np.array([1.0, 1.0])) + 1e-10 * np.eye(60)
         y = np.linalg.cholesky(K) @ rng.standard_normal(60)
         amp, ls = fit_gp_hyperparams(S, y)
@@ -226,6 +228,30 @@ class TestGridSearch:
             assert got.reg == pytest.approx(want.reg, rel=1e-9)
         best = max(range(len(naive)), key=lambda i: (naive[i].reg, -i))
         assert res.winner.config == naive[best].config
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_reg_bit_identical_to_evaluate_candidate(self, threads):
+        # duplicated points give exact ties in |C|, so the one shared column
+        # sort must break them as the per-candidate sort does
+        X, _ = random_subspaces(
+            k=3, ambient_dim=30, intrinsic_dim=3, per_cluster=20, noise_std=0.01, seed=8
+        )
+        X = np.hstack([X, X[:, ::3]])
+        W = np.abs(build_coefficients(X, CandidateConfig("lsr", tau=1, lam=0.01)))
+        np.fill_diagonal(W, 0.0)
+        top = -np.sort(-W, axis=0)[:15]
+        assert np.any(top[1:] == top[:-1])
+        space = SearchSpace(
+            models=default_search_space().models, lambdas=(0.01, 1.0), taus=(1, 4, 9, 15)
+        )
+        res = grid_search(X, 3, space, seed=0, threads=threads)
+        assert len(res.scores) == 20
+        for got in res.scores:
+            want = evaluate_candidate(X, 3, got.config, seed=0)
+            assert got.reg == want.reg
+            assert got.degenerate_reason == want.degenerate_reason
+            if want.spectrum is not None:
+                assert np.array_equal(got.spectrum.sigmas, want.spectrum.sigmas)
 
     def test_winner_invariant_under_evaluation_order(self):
         X, _ = subspace_data(seed=2)
@@ -373,3 +399,12 @@ class TestBoSearch:
         assert [d[0] for d in bo_dimensions(poly, space)] == ["lam", "offset", "degree", "tau"]
         direct = ModelSpec("kernel_direct", KernelSpec("gaussian"))
         assert [d[0] for d in bo_dimensions(direct, space)] == ["xi", "tau"]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is about half of the package's import time, and only BO's
+    # Sobol points need it
+    env = {**os.environ, "PYTHONPATH": str(Path(autospectral.__file__).parents[1])}
+    code = "import sys, autospectral; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

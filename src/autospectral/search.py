@@ -305,15 +305,26 @@ def _sobol_unit_starts(d, n):
     return _SOBOL_START_CACHE[key]
 
 
+# float64 entries in one stacked r^2 array of the GP fit; a scored batch
+# holds a few arrays of this size, so the budget bounds the fit's memory
+_LML_BUDGET = 2**15
+
+
 def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
     """Maximize the log marginal likelihood over (amplitude, length scales).
 
     Multi-start coordinate search: starts come from a fixed scrambled
     low-discrepancy sequence over log-scaled bounds [1e-3, 1e3] relative to
     the data scales; each length scale then moves on a multiplicative grid
-    (evaluated as one batched Cholesky) while the amplitude step uses its
-    exact per-configuration optimum, clipped to the same bounds.
-    Deterministic given the observations.
+    while the amplitude step uses its exact per-configuration optimum,
+    clipped to the same bounds. The starts advance in lockstep: the initial
+    values of all starts, and for each (sweep, dimension) the candidate
+    grids of all active starts, are scored by batched Cholesky, in chunks of
+    whole starts whose stacked r^2 array holds at most ``_LML_BUDGET``
+    entries. A start that moved in no dimension during a sweep would repeat
+    that sweep exactly, so it drops out of later sweeps. Every start ends
+    where its own coordinate search would, bit for bit; the best start wins,
+    the first on ties. Deterministic given the observations.
 
     Returns
     -------
@@ -340,21 +351,31 @@ def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
     D2 = np.stack([(S[:, j, None] - S[None, :, j]) ** 2 for j in range(d)])
     const = -0.5 * t * math.log(2.0 * math.pi)
 
-    def lml_batch(r2_batch, amps):
-        """Log marginal likelihood for a batch of r^2 matrices and amplitudes."""
-        sq5r = np.sqrt(5.0 * r2_batch)
-        K0 = (1.0 + sq5r + (5.0 / 3.0) * r2_batch) * np.exp(-sq5r)
-        K0[:, np.arange(t), np.arange(t)] += 1e-8
-        B = len(r2_batch)
+    def lml_batch(r2, amps):
+        """Log marginal likelihood of each matrix of a (B, t, t) stack of r^2,
+        which it overwrites; writes the optimal amplitude into ``amps``
+        wherever the Gram matrix factors."""
+        # Matern-5/2, (1 + sqrt(5 r2) + 5/3 r2) exp(-sqrt(5 r2)), in place
+        K = np.multiply(r2, 5.0)
+        np.sqrt(K, out=K)
+        E = np.negative(K)
+        np.exp(E, out=E)
+        K += 1.0
+        r2 *= 5.0 / 3.0
+        K += r2
+        K *= E
+        del E
+        B = len(K)
+        K.reshape(B, t * t)[:, :: t + 1] += 1e-8
         out = np.full(B, -np.inf)
         try:
-            L = np.linalg.cholesky(K0)
+            L = np.linalg.cholesky(K)
             ok = np.arange(B)
         except np.linalg.LinAlgError:
             mats, ok = [], []
             for i in range(B):
                 try:
-                    mats.append(np.linalg.cholesky(K0[i]))
+                    mats.append(np.linalg.cholesky(K[i]))
                     ok.append(i)
                 except np.linalg.LinAlgError:
                     pass
@@ -362,6 +383,7 @@ def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
                 return out
             L = np.stack(mats)
             ok = np.asarray(ok)
+        del K
         z = np.linalg.solve(L, np.broadcast_to(r, (len(ok), t))[..., None])[..., 0]
         quad0 = np.einsum("bi,bi->b", z, z)  # r' K0^{-1} r
         logdet0 = 2.0 * np.sum(np.log(L[:, np.arange(t), np.arange(t)]), axis=1)
@@ -370,36 +392,49 @@ def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
         out[ok] = -0.5 * quad0 / a - 0.5 * (logdet0 + t * np.log(a)) + const
         return out
 
-    def r2_of(inv_sq):
-        return np.einsum("d,dij->ij", inv_sq, D2)
-
     log_lo = np.log(np.concatenate([[amp_lo], ls_lo]))
     log_hi = np.log(np.concatenate([[amp_hi], ls_hi]))
     starts = np.exp(log_lo + _sobol_unit_starts(d + 1, n_starts) * (log_hi - log_lo))
+    amp = starts[:, 0].copy()
+    ls = starts[:, 1:].copy()
+    val = np.empty(n_starts)
+    per = max(1, _LML_BUDGET // (t * t))
+    for lo in range(0, n_starts, per):
+        part = slice(lo, lo + per)
+        val[part] = lml_batch(np.einsum("sd,dij->sij", 1.0 / ls[part] ** 2, D2), amp[part])
 
     factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
+    per = max(1, _LML_BUDGET // (len(factors) * t * t))
+    active = np.arange(n_starts)
+    for _ in range(sweeps):
+        moved = np.zeros(n_starts, dtype=bool)
+        for j in range(d):
+            for lo in range(0, len(active), per):
+                idx = active[lo : lo + per]
+                inv = 1.0 / ls[idx] ** 2
+                other = np.einsum("sd,dij->sij", inv, D2)
+                other -= inv[:, j, None, None] * D2[j]
+                cand = np.clip(ls[idx, j][:, None] * factors, ls_lo[j], ls_hi[j])
+                r2 = D2[j] / cand[:, :, None, None] ** 2
+                r2 += other[:, None]
+                amps = np.repeat(amp[idx], len(factors))
+                vals = lml_batch(r2.reshape(-1, t, t), amps).reshape(len(idx), -1)
+                # each start's own first argmax, taken only if it improves
+                best = (np.arange(len(idx)), np.argmax(vals, axis=1))
+                up = vals[best] > val[idx]
+                won = idx[up]
+                val[won] = vals[best][up]
+                ls[won, j] = cand[best][up]
+                amp[won] = amps.reshape(len(idx), -1)[best][up]
+                moved[won] = True
+        active = np.flatnonzero(moved)
+        if not len(active):
+            break
+
     best_amp, best_ls, best_val = None, None, -np.inf
-    for start in starts:
-        amp = float(start[0])
-        ls = start[1:].copy()
-        amps = np.array([amp])
-        val = float(lml_batch(r2_of(1.0 / ls**2)[None], amps)[0])
-        amp = float(amps[0])
-        for _ in range(sweeps):
-            for j in range(d):
-                cand = np.clip(ls[j] * factors, ls_lo[j], ls_hi[j])
-                inv = 1.0 / ls**2
-                other = r2_of(inv) - inv[j] * D2[j]
-                r2s = other[None] + D2[j][None] / cand[:, None, None] ** 2
-                amps = np.full(len(cand), amp)
-                vals = lml_batch(r2s, amps)
-                i = int(np.argmax(vals))
-                if vals[i] > val:
-                    val = float(vals[i])
-                    ls[j] = cand[i]
-                    amp = float(amps[i])
-        if val > best_val:
-            best_val, best_amp, best_ls = val, amp, ls.copy()
+    for s in range(n_starts):
+        if val[s] > best_val:
+            best_val, best_amp, best_ls = val[s], float(amp[s]), ls[s].copy()
     if best_amp is None or not np.isfinite(best_val):
         return 1.0, ls_default
     return best_amp, best_ls

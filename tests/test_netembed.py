@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from autospectral.metrics import clustering_accuracy
 from autospectral.netembed import (
     MLPParams,
     NetConfig,
+    _embed,
     landmark_cluster,
     net_forward,
     net_loss_and_grad,
@@ -110,6 +113,28 @@ class TestForward:
                         pre += params.w1[h, i] * X[i, col]
                     acc += params.w2[row, h] * max(pre, 0.0)
                 assert Z[row, col] == pytest.approx(acc, rel=1e-12)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_blocks_bit_identical_to_one_pass(self, activation):
+        # hidden 200 embeds 1280 columns a block: 1280, 1280 and a partial 440
+        rng = np.random.default_rng(6)
+        params = random_params(rng, 60, 200, 10)
+        X = rng.standard_normal((60, 3000))
+        assert np.array_equal(net_forward(params, X, activation), _embed(params, X, activation))
+
+    def test_memory_ceiling(self):
+        # the landmark workload's shape; one pass held two 200 x 6000 arrays
+        # and peaked at 19.7 MB
+        rng = np.random.default_rng(7)
+        params = random_params(rng, 60, 200, 10)
+        X = rng.standard_normal((60, 6000))
+        tracemalloc.start()
+        try:
+            net_forward(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestTrain:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import autospectral
-from autospectral import linalg
+from autospectral import linalg, search
 from autospectral.affinity import CandidateConfig, KernelSpec, build_coefficients
 from autospectral.errors import SearchFailedError
 from autospectral.kmeans import Partition
@@ -25,6 +26,7 @@ from autospectral.search import (
     expected_improvement,
     _matern_cross,
     _Posterior,
+    _sobol_unit_starts,
     fit_gp_hyperparams,
     grid_search,
 )
@@ -128,6 +130,126 @@ class TestExpectedImprovement:
         np.testing.assert_array_equal(e1, [ei(m, s, g_min) for m, s in zip(mu, s1)])
 
 
+def reference_fit(S, y, n_starts=16, sweeps=2):
+    """The coordinate search one start at a time: each start scores its own
+    initial value and its own 9 candidates per (sweep, dimension), in
+    separate batches, and runs every sweep."""
+    S = np.atleast_2d(np.asarray(S, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    t, d = S.shape
+    ls_default = np.array([max(np.ptp(S[:, j]) / 2.0, 1e-12) for j in range(d)])
+    ls_default[np.ptp(S, axis=0) == 0] = 1.0
+    if np.ptp(y) == 0.0:
+        return 1.0, ls_default
+    r = y - float(np.mean(y))
+    amp_scale = max(float(np.var(y)), 1e-12)
+    ls_scale = np.where(np.ptp(S, axis=0) > 0, np.ptp(S, axis=0), 1.0)
+    amp_lo, amp_hi = amp_scale * 1e-3, amp_scale * 1e3
+    ls_lo, ls_hi = ls_scale * 1e-3, ls_scale * 1e3
+    D2 = np.stack([(S[:, j, None] - S[None, :, j]) ** 2 for j in range(d)])
+    const = -0.5 * t * math.log(2.0 * math.pi)
+
+    def lml_batch(r2_batch, amps):
+        sq5r = np.sqrt(5.0 * r2_batch)
+        K0 = (1.0 + sq5r + (5.0 / 3.0) * r2_batch) * np.exp(-sq5r)
+        K0[:, np.arange(t), np.arange(t)] += 1e-8
+        B = len(r2_batch)
+        out = np.full(B, -np.inf)
+        try:
+            L = np.linalg.cholesky(K0)
+            ok = np.arange(B)
+        except np.linalg.LinAlgError:
+            mats, ok = [], []
+            for i in range(B):
+                try:
+                    mats.append(np.linalg.cholesky(K0[i]))
+                    ok.append(i)
+                except np.linalg.LinAlgError:
+                    pass
+            if not ok:
+                return out
+            L = np.stack(mats)
+            ok = np.asarray(ok)
+        z = np.linalg.solve(L, np.broadcast_to(r, (len(ok), t))[..., None])[..., 0]
+        quad0 = np.einsum("bi,bi->b", z, z)
+        logdet0 = 2.0 * np.sum(np.log(L[:, np.arange(t), np.arange(t)]), axis=1)
+        a = np.clip(quad0 / t, amp_lo, amp_hi)
+        amps[ok] = a
+        out[ok] = -0.5 * quad0 / a - 0.5 * (logdet0 + t * np.log(a)) + const
+        return out
+
+    def r2_of(inv_sq):
+        return np.einsum("d,dij->ij", inv_sq, D2)
+
+    log_lo = np.log(np.concatenate([[amp_lo], ls_lo]))
+    log_hi = np.log(np.concatenate([[amp_hi], ls_hi]))
+    starts = np.exp(log_lo + _sobol_unit_starts(d + 1, n_starts) * (log_hi - log_lo))
+    factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
+    best_amp, best_ls, best_val = None, None, -np.inf
+    for start in starts:
+        amp = float(start[0])
+        ls = start[1:].copy()
+        amps = np.array([amp])
+        val = float(lml_batch(r2_of(1.0 / ls**2)[None], amps)[0])
+        amp = float(amps[0])
+        for _ in range(sweeps):
+            for j in range(d):
+                cand = np.clip(ls[j] * factors, ls_lo[j], ls_hi[j])
+                inv = 1.0 / ls**2
+                other = r2_of(inv) - inv[j] * D2[j]
+                r2s = other[None] + D2[j][None] / cand[:, None, None] ** 2
+                amps = np.full(len(cand), amp)
+                vals = lml_batch(r2s, amps)
+                i = int(np.argmax(vals))
+                if vals[i] > val:
+                    val = float(vals[i])
+                    ls[j] = cand[i]
+                    amp = float(amps[i])
+        if val > best_val:
+            best_val, best_amp, best_ls = val, amp, ls.copy()
+    if best_amp is None or not np.isfinite(best_val):
+        return 1.0, ls_default
+    return best_amp, best_ls
+
+
+def random_observations(t, d, seed):
+    # a smooth response plus noise, as BO sees it in the unit box
+    rng = np.random.default_rng(seed)
+    S = rng.random((t, d))
+    y = np.sin(3.0 * S[:, 0]) + S[:, -1] ** 2 + 0.1 * rng.standard_normal(t)
+    return S, y
+
+
+def bo_observations(budget=12):
+    """The (S, y) of every fit in a short default-space bo_search: d=2 and
+    d=3 (lsr, klsr), t from the initial design of 8 up to budget - 1."""
+    seen = []
+    fit = search.fit_gp_hyperparams
+
+    def record(S, y):
+        seen.append((np.array(S), np.array(y)))
+        return fit(S, y)
+
+    X, _ = subspace_data(seed=5, noise=0.05)
+    orig, search.fit_gp_hyperparams = search.fit_gp_hyperparams, record
+    try:
+        bo_search(X, 3, default_search_space(), budget_per_model=budget, seed=1)
+    finally:
+        search.fit_gp_hyperparams = orig
+    return seen
+
+
+OBSERVATIONS = [random_observations(t, d, seed=t + d) for d in (2, 3) for t in (8, 15, 16, 29)]
+
+
+def assert_fits_match_reference(sets, n_starts=16):
+    for S, y in sets:
+        amp, ls = fit_gp_hyperparams(S, y, n_starts=n_starts)
+        ref_amp, ref_ls = reference_fit(S, y, n_starts=n_starts)
+        assert amp == ref_amp
+        assert np.array_equal(ls, ref_ls)
+
+
 class TestFitGpHyperparams:
     def test_constant_targets_return_defaults(self):
         S = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
@@ -149,6 +271,64 @@ class TestFitGpHyperparams:
         amp, ls = fit_gp_hyperparams(S, y)
         assert np.all(ls >= 1.0 / 3.0) and np.all(ls <= 3.0)
         assert 1.0 / 3.0 <= amp <= 3.0
+
+    def test_bit_identical_to_one_start_at_a_time(self):
+        sets = OBSERVATIONS + bo_observations()
+        assert {S.shape[1] for S, _ in sets} == {2, 3}
+        assert {S.shape[0] for S, _ in sets} >= {8, 11, 15, 16, 29}
+        assert_fits_match_reference(sets)
+
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+    @pytest.mark.parametrize("starts_per_call", [1, 3])
+    def test_bit_identical_in_small_chunks(self, monkeypatch, starts_per_call):
+        # 1: every start scored alone; 3: 16 starts end on a partial chunk
+        for S, y in OBSERVATIONS:
+            t = S.shape[0]
+            monkeypatch.setattr(search, "_LML_BUDGET", starts_per_call * 9 * t * t)
+            assert_fits_match_reference([(S, y)])
+        # the first n Sobol starts are the same for every n, so the winner
+        # among them checks each start's own search, the last one included
+        S, y = OBSERVATIONS[1]
+        for n_starts in range(1, 17):
+            assert_fits_match_reference([(S, y)], n_starts=n_starts)
+        # initial values in chunks of 5 (5, 5, 5, 1), candidates one start a call
+        S, y = OBSERVATIONS[-1]
+        monkeypatch.setattr(search, "_LML_BUDGET", 5 * S.shape[0] ** 2)
+        assert_fits_match_reference([(S, y)])
+
+    def test_bit_identical_on_the_per_matrix_fallback(self, monkeypatch):
+        real = np.linalg.cholesky
+
+        def no_batches(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("batched factorization refused")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_batches)
+        assert_fits_match_reference(OBSERVATIONS[1::2])
+
+    def test_memory_ceiling(self):
+        # 16 starts stacked at once would peak at about 3 MB here; the entry
+        # budget keeps the fit's working set to a few 2**15-entry arrays
+        S, y = random_observations(29, 3, seed=0)
+        fit_gp_hyperparams(S, y)
+        tracemalloc.start()
+        try:
+            fit_gp_hyperparams(S, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_bo_trajectory_unchanged(self, monkeypatch, threads):
+        X, _ = subspace_data(seed=8, noise=0.05)
+        space = default_search_space()
+        fast = bo_search(X, 3, space, budget_per_model=12, seed=2, threads=threads)
+        monkeypatch.setattr(search, "fit_gp_hyperparams", reference_fit)
+        ref = bo_search(X, 3, space, budget_per_model=12, seed=2, threads=threads)
+        assert [s.config for s in fast.scores] == [s.config for s in ref.scores]
+        assert [s.reg for s in fast.scores] == [s.reg for s in ref.scores]
 
 
 def ideal_two_cluster_data():

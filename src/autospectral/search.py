@@ -128,12 +128,32 @@ def _objective(score, kind):
     return plain_eigen_gap(score.spectrum)
 
 
-def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
-    """Score one candidate; degeneracies map to reg = -inf, not exceptions."""
+# Largest point count a search runs on. A candidate holds about five dense
+# n x n float64 arrays at once: under tracemalloc at n = 2000,
+# evaluate_candidate peaked at 4.2-5.0 n^2 * 8 bytes and a one-model
+# grid_search at 5.2. At 10 000 points that is about 4.2 GB, half of an
+# 8 GB host; larger inputs go through the landmark path.
+SEARCH_MAX_N = 10_000
+
+
+def _checked_points(X, k):
+    """X as finite float64, once its point count n is checked: k + 1 <= n
+    <= SEARCH_MAX_N."""
     X = check_finite(X, "X")
     n = X.shape[1]
     if k + 1 > n:
         raise ValueError(f"need k + 1 <= n (k={k}, n={n})")
+    if n > SEARCH_MAX_N:
+        raise ValueError(
+            f"a search holds dense n x n arrays and takes at most {SEARCH_MAX_N} points "
+            f"(got n={n}); search fewer points with --landmarks"
+        )
+    return X
+
+
+def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
+    """Score one candidate; degeneracies map to reg = -inf, not exceptions."""
+    X = _checked_points(X, k)
     try:
         C = build_coefficients(X, config, seed=seed)
         graph = postprocess_affinity(C, config.tau)
@@ -192,12 +212,10 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_re
     similarity) are evaluated once per tau. Ties on the objective go to the
     first candidate in model -> lambda -> tau order.
     """
-    X = check_finite(X, "X")
     if score not in SCORE_KINDS:
         raise ValueError(f"score must be one of {SCORE_KINDS}")
+    X = _checked_points(X, k)
     n = X.shape[1]
-    if k + 1 > n:
-        raise ValueError(f"need k + 1 <= n (k={k}, n={n})")
     approx = default_approx_rank(n, k)
     scores = []
     for model in space.models:
@@ -305,26 +323,81 @@ def _sobol_unit_starts(d, n):
     return _SOBOL_START_CACHE[key]
 
 
-# float64 entries in one stacked r^2 array of the GP fit; a scored batch
-# holds a few arrays of this size, so the budget bounds the fit's memory
+def _bordered_cholesky(M, r):
+    """r'K^-1 r and log det K for a stack of Gram matrices K, from one
+    Cholesky factorization each and no solve.
+
+    ``M`` is a (B, t+1, t+1) stack whose [:t, :t] blocks hold the matrices
+    K, each a positive semidefinite matrix plus 1e-8 on its diagonal. The
+    call borders them in place as [[K, r], [r', c]] and factors the stack.
+    The jitter puts every eigenvalue of K at or above 1e-8, so
+    r'K^-1 r <= ||r||^2 / 1e-8 < c = 2 ||r||^2 / 1e-8 + 1: the Schur
+    complement c - r'K^-1 r is positive, and a bordered matrix factors
+    exactly when its K does. The factor's last row is z = L^-1 r, so
+    r'K^-1 r = ||z||^2, and its first t diagonal entries give log det K.
+
+    Returns
+    -------
+    (ok, quad, logdet) : the indices of the matrices that factor, and
+    r'K^-1 r and log det K for each of them.
+    """
+    B, n1, _ = M.shape
+    t = n1 - 1
+    M[:, t, :t] = r
+    M[:, :t, t] = r
+    M[:, t, t] = 2.0 * float(r @ r) / 1e-8 + 1.0
+    try:
+        L = np.linalg.cholesky(M)
+        ok = np.arange(B)
+    except np.linalg.LinAlgError:
+        mats, ok = [], []
+        for i in range(B):
+            try:
+                mats.append(np.linalg.cholesky(M[i]))
+                ok.append(i)
+            except np.linalg.LinAlgError:
+                pass
+        if not ok:
+            return np.arange(0), np.empty(0), np.empty(0)
+        L = np.stack(mats)
+        ok = np.asarray(ok)
+    z = L[:, t, :t]
+    quad = np.einsum("bi,bi->b", z, z)
+    # summed along rows of a C-ordered array, the same for any B: a fancy-indexed
+    # diagonal comes out F-ordered, and its row sums then depend on the batch
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)[:, :t]).sum(axis=1)
+    return ok, quad, logdet
+
+
+# float64 entries in one stacked bordered-Gram array of the GP fit; a scored
+# batch holds a few arrays of this size, so the budget bounds the fit's memory
 _LML_BUDGET = 2**15
 
+# the fit scores starts from this fixed set; ``n_starts`` takes its first points
+_MAX_STARTS = 16
 
-def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
+
+def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, sweeps=2, init=None):
     """Maximize the log marginal likelihood over (amplitude, length scales).
 
-    Multi-start coordinate search: starts come from a fixed scrambled
-    low-discrepancy sequence over log-scaled bounds [1e-3, 1e3] relative to
-    the data scales; each length scale then moves on a multiplicative grid
-    while the amplitude step uses its exact per-configuration optimum,
-    clipped to the same bounds. The starts advance in lockstep: the initial
-    values of all starts, and for each (sweep, dimension) the candidate
-    grids of all active starts, are scored by batched Cholesky, in chunks of
-    whole starts whose stacked r^2 array holds at most ``_LML_BUDGET``
-    entries. A start that moved in no dimension during a sweep would repeat
-    that sweep exactly, so it drops out of later sweeps. Every start ends
-    where its own coordinate search would, bit for bit; the best start wins,
-    the first on ties. Deterministic given the observations.
+    Multi-start coordinate search: the starts are the first ``n_starts`` of
+    16 fixed scrambled low-discrepancy points over log-scaled bounds
+    [1e-3, 1e3] relative to the data scales. ``init=(amplitude,
+    lengthscales)``, clipped to those bounds, replaces the last start: a
+    warm start from an earlier optimum. Each length scale then moves on a
+    multiplicative grid while the amplitude step uses its exact
+    per-configuration optimum, clipped to the same bounds. The likelihood
+    is Rasmussen & Williams' Cholesky form (Alg. 2.1): one Cholesky factor
+    of the Gram matrix K bordered by the centred targets r gives both
+    log det K and r'K^-1 r, with no separate solve. The starts advance in
+    lockstep: the initial values of all starts, and for each (sweep,
+    dimension) the candidate grids of all active starts, are factored
+    together, in chunks of whole starts whose stacked bordered matrices
+    hold at most ``_LML_BUDGET`` entries. A start that moved in no dimension
+    during a sweep would repeat that sweep exactly, so it drops out of later
+    sweeps. Every start ends where its own coordinate search would, bit for
+    bit; the best start wins, the first on ties. Deterministic given the
+    observations and ``init``.
 
     Returns
     -------
@@ -335,6 +408,8 @@ def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
     t, d = S.shape
     if t < 2:
         raise ValueError("need at least two observations")
+    if not 1 <= n_starts <= _MAX_STARTS:
+        raise ValueError(f"n_starts must be in 1..{_MAX_STARTS}")
     ls_default = np.array([max(np.ptp(S[:, j]) / 2.0, 1e-12) for j in range(d)])
     ls_default[np.ptp(S, axis=0) == 0] = 1.0
     if np.ptp(y) == 0.0:
@@ -350,43 +425,33 @@ def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
     # per-dimension squared distances, shared by every likelihood evaluation
     D2 = np.stack([(S[:, j, None] - S[None, :, j]) ** 2 for j in range(d)])
     const = -0.5 * t * math.log(2.0 * math.pi)
+    n1 = t + 1
 
-    def lml_batch(r2, amps):
-        """Log marginal likelihood of each matrix of a (B, t, t) stack of r^2,
-        which it overwrites; writes the optimal amplitude into ``amps``
-        wherever the Gram matrix factors."""
+    def bordered(*shape):
+        """A stack of (t+1, t+1) matrices and its [:t, :t] blocks, which
+        take r^2."""
+        M = np.empty(shape + (n1, n1))
+        return M, M[..., :t, :t]
+
+    def lml_batch(M, amps):
+        """Log marginal likelihood of each matrix of a (B, t+1, t+1) stack
+        whose [:t, :t] blocks hold r^2; overwrites the stack, and writes the
+        optimal amplitude into ``amps`` wherever the Gram matrix factors."""
+        B = len(M)
+        K = M[:, :t, :t]
         # Matern-5/2, (1 + sqrt(5 r2) + 5/3 r2) exp(-sqrt(5 r2)), in place
-        K = np.multiply(r2, 5.0)
-        np.sqrt(K, out=K)
-        E = np.negative(K)
+        Q = np.multiply(K, 5.0)
+        np.sqrt(Q, out=Q)
+        E = np.negative(Q)
         np.exp(E, out=E)
-        K += 1.0
-        r2 *= 5.0 / 3.0
-        K += r2
+        Q += 1.0
+        K *= 5.0 / 3.0
+        K += Q
         K *= E
-        del E
-        B = len(K)
-        K.reshape(B, t * t)[:, :: t + 1] += 1e-8
+        del Q, E
+        M.reshape(B, n1 * n1)[:, : t * (n1 + 1) : n1 + 1] += 1e-8
+        ok, quad0, logdet0 = _bordered_cholesky(M, r)
         out = np.full(B, -np.inf)
-        try:
-            L = np.linalg.cholesky(K)
-            ok = np.arange(B)
-        except np.linalg.LinAlgError:
-            mats, ok = [], []
-            for i in range(B):
-                try:
-                    mats.append(np.linalg.cholesky(K[i]))
-                    ok.append(i)
-                except np.linalg.LinAlgError:
-                    pass
-            if not ok:
-                return out
-            L = np.stack(mats)
-            ok = np.asarray(ok)
-        del K
-        z = np.linalg.solve(L, np.broadcast_to(r, (len(ok), t))[..., None])[..., 0]
-        quad0 = np.einsum("bi,bi->b", z, z)  # r' K0^{-1} r
-        logdet0 = 2.0 * np.sum(np.log(L[:, np.arange(t), np.arange(t)]), axis=1)
         a = np.clip(quad0 / t, amp_lo, amp_hi)
         amps[ok] = a
         out[ok] = -0.5 * quad0 / a - 0.5 * (logdet0 + t * np.log(a)) + const
@@ -394,17 +459,23 @@ def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
 
     log_lo = np.log(np.concatenate([[amp_lo], ls_lo]))
     log_hi = np.log(np.concatenate([[amp_hi], ls_hi]))
-    starts = np.exp(log_lo + _sobol_unit_starts(d + 1, n_starts) * (log_hi - log_lo))
+    unit = _sobol_unit_starts(d + 1, _MAX_STARTS)[:n_starts]
+    starts = np.exp(log_lo + unit * (log_hi - log_lo))
+    if init is not None:
+        starts[-1, 0] = np.clip(init[0], amp_lo, amp_hi)
+        starts[-1, 1:] = np.clip(init[1], ls_lo, ls_hi)
     amp = starts[:, 0].copy()
     ls = starts[:, 1:].copy()
     val = np.empty(n_starts)
-    per = max(1, _LML_BUDGET // (t * t))
+    per = max(1, _LML_BUDGET // (n1 * n1))
     for lo in range(0, n_starts, per):
         part = slice(lo, lo + per)
-        val[part] = lml_batch(np.einsum("sd,dij->sij", 1.0 / ls[part] ** 2, D2), amp[part])
+        M, r2 = bordered(len(amp[part]))
+        np.einsum("sd,dij->sij", 1.0 / ls[part] ** 2, D2, out=r2)
+        val[part] = lml_batch(M, amp[part])
 
     factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
-    per = max(1, _LML_BUDGET // (len(factors) * t * t))
+    per = max(1, _LML_BUDGET // (len(factors) * n1 * n1))
     active = np.arange(n_starts)
     for _ in range(sweeps):
         moved = np.zeros(n_starts, dtype=bool)
@@ -415,10 +486,11 @@ def fit_gp_hyperparams(S, y, n_starts=16, sweeps=2):
                 other = np.einsum("sd,dij->sij", inv, D2)
                 other -= inv[:, j, None, None] * D2[j]
                 cand = np.clip(ls[idx, j][:, None] * factors, ls_lo[j], ls_hi[j])
-                r2 = D2[j] / cand[:, :, None, None] ** 2
+                M, r2 = bordered(len(idx), len(factors))
+                np.divide(D2[j], cand[:, :, None, None] ** 2, out=r2)
                 r2 += other[:, None]
                 amps = np.repeat(amp[idx], len(factors))
-                vals = lml_batch(r2.reshape(-1, t, t), amps).reshape(len(idx), -1)
+                vals = lml_batch(M.reshape(-1, n1, n1), amps).reshape(len(idx), -1)
                 # each start's own first argmax, taken only if it improves
                 best = (np.arange(len(idx)), np.argmax(vals, axis=1))
                 up = vals[best] > val[idx]
@@ -524,9 +596,20 @@ def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
     return best_u
 
 
+# starts of every GP fit after a model's first: the previous optimum plus
+# the first three fixed starts
+_WARM_STARTS = 4
+
+
 def _bo_one_model(X, k, model, space, budget_per_model, init_design, child, seed, eps, score, approx):
     """Sequential BO loop for one model; returns its CandidateScores in
-    evaluation order."""
+    evaluation order.
+
+    Each step refits the GP hyperparameters to all evaluations so far. The
+    model's first fit scores all 16 fixed starts; every later fit scores
+    ``_WARM_STARTS``: the first three fixed starts plus the previous fit's
+    optimum as a warm start.
+    """
     n = X.shape[1]
     dims = bo_dimensions(model, space)
     lo = np.array([d[1] for d in dims], dtype=np.float64)
@@ -554,10 +637,15 @@ def _bo_one_model(X, k, model, space, budget_per_model, init_design, child, seed
 
     for u in sobol.random(init_design):
         evaluate(u)
+    fitted = None
     while len(U) < budget_per_model:
         S = np.vstack(U)
         yv = np.asarray(g_gp)
-        amplitude, lengthscales = fit_gp_hyperparams(S, yv)
+        if fitted is None:
+            fitted = fit_gp_hyperparams(S, yv)
+        else:
+            fitted = fit_gp_hyperparams(S, yv, n_starts=_WARM_STARTS, init=fitted)
+        amplitude, lengthscales = fitted
         post = _posterior_with_jitter(S, yv, amplitude, lengthscales, float(np.mean(yv)))
         u_next = _maximize_ei(post, float(np.min(yv)), sobol)
         evaluate(u_next)
@@ -585,14 +673,12 @@ def bo_search(
     self-contained, so ``threads > 1`` runs them concurrently without
     changing any result. Deterministic given seed.
     """
-    X = check_finite(X, "X")
     if score not in SCORE_KINDS:
         raise ValueError(f"score must be one of {SCORE_KINDS}")
     if budget_per_model < init_design:
         raise ValueError("budget_per_model must cover the initial design")
+    X = _checked_points(X, k)
     n = X.shape[1]
-    if k + 1 > n:
-        raise ValueError(f"need k + 1 <= n (k={k}, n={n})")
     approx = default_approx_rank(n, k)
 
     children = np.random.SeedSequence(seed).spawn(len(space.models))

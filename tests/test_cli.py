@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from autospectral import affinity
+from autospectral import affinity, search
 from autospectral.cli import build_parser, run_cli
 from autospectral.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, save_csv
 from autospectral.synthetic import random_subspaces
@@ -120,6 +120,15 @@ class TestUsageErrors:
 
     def test_missing_file(self, tmp_path):
         assert run_cli(base_args(tmp_path / "nope.csv", tmp_path / "x")) == 1
+
+    def test_too_many_points_points_to_landmarks(self, subspace_csv, tmp_path, monkeypatch, capsys):
+        # 60 points above a ceiling of 50 fail cleanly; 20 landmarks pass
+        plain, _, n = subspace_csv
+        monkeypatch.setattr(search, "SEARCH_MAX_N", n - 10)
+        assert run_cli(base_args(plain, tmp_path / "x")) == 1
+        assert "--landmarks" in capsys.readouterr().err
+        flags = {"--landmarks": "20", "--epochs": "5", "--batch": "8", "--hidden": "20"}
+        assert run_cli(base_args(plain, tmp_path / "y", **flags)) == 0
 
 
 class TestIdxPath:

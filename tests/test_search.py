@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import spearmanr
 
 import autospectral
@@ -26,6 +28,7 @@ from autospectral.search import (
     expected_improvement,
     _matern_cross,
     _Posterior,
+    _bordered_cholesky,
     _sobol_unit_starts,
     fit_gp_hyperparams,
     grid_search,
@@ -130,10 +133,13 @@ class TestExpectedImprovement:
         np.testing.assert_array_equal(e1, [ei(m, s, g_min) for m, s in zip(mu, s1)])
 
 
-def reference_fit(S, y, n_starts=16, sweeps=2):
+def reference_fit(S, y, n_starts=16, sweeps=2, init=None):
     """The coordinate search one start at a time: each start scores its own
     initial value and its own 9 candidates per (sweep, dimension), in
-    separate batches, and runs every sweep."""
+    separate batches, and runs every sweep. Each likelihood factors the Gram
+    matrix K bordered by the centred targets r, [[K, r], [r', c]], whose
+    factor's last row is L^-1 r. ``init`` replaces the last start, clipped
+    to the bounds."""
     S = np.atleast_2d(np.asarray(S, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     t, d = S.shape
@@ -154,15 +160,20 @@ def reference_fit(S, y, n_starts=16, sweeps=2):
         K0 = (1.0 + sq5r + (5.0 / 3.0) * r2_batch) * np.exp(-sq5r)
         K0[:, np.arange(t), np.arange(t)] += 1e-8
         B = len(r2_batch)
+        M = np.empty((B, t + 1, t + 1))
+        M[:, :t, :t] = K0
+        M[:, t, :t] = r
+        M[:, :t, t] = r
+        M[:, t, t] = 2.0 * float(r @ r) / 1e-8 + 1.0
         out = np.full(B, -np.inf)
         try:
-            L = np.linalg.cholesky(K0)
+            L = np.linalg.cholesky(M)
             ok = np.arange(B)
         except np.linalg.LinAlgError:
             mats, ok = [], []
             for i in range(B):
                 try:
-                    mats.append(np.linalg.cholesky(K0[i]))
+                    mats.append(np.linalg.cholesky(M[i]))
                     ok.append(i)
                 except np.linalg.LinAlgError:
                     pass
@@ -170,9 +181,11 @@ def reference_fit(S, y, n_starts=16, sweeps=2):
                 return out
             L = np.stack(mats)
             ok = np.asarray(ok)
-        z = np.linalg.solve(L, np.broadcast_to(r, (len(ok), t))[..., None])[..., 0]
+        z = L[:, t, :t]
         quad0 = np.einsum("bi,bi->b", z, z)
-        logdet0 = 2.0 * np.sum(np.log(L[:, np.arange(t), np.arange(t)]), axis=1)
+        # summed along rows of a C-ordered array, the same for any B: a fancy-indexed
+        # diagonal comes out F-ordered, and its row sums then depend on the batch
+        logdet0 = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)[:, :t]).sum(axis=1)
         a = np.clip(quad0 / t, amp_lo, amp_hi)
         amps[ok] = a
         out[ok] = -0.5 * quad0 / a - 0.5 * (logdet0 + t * np.log(a)) + const
@@ -183,7 +196,9 @@ def reference_fit(S, y, n_starts=16, sweeps=2):
 
     log_lo = np.log(np.concatenate([[amp_lo], ls_lo]))
     log_hi = np.log(np.concatenate([[amp_hi], ls_hi]))
-    starts = np.exp(log_lo + _sobol_unit_starts(d + 1, n_starts) * (log_hi - log_lo))
+    starts = np.exp(log_lo + _sobol_unit_starts(d + 1, 16)[:n_starts] * (log_hi - log_lo))
+    if init is not None:
+        starts[-1] = np.concatenate([np.clip([init[0]], amp_lo, amp_hi), np.clip(init[1], ls_lo, ls_hi)])
     factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
     best_amp, best_ls, best_val = None, None, -np.inf
     for start in starts:
@@ -220,15 +235,17 @@ def random_observations(t, d, seed):
     return S, y
 
 
-def bo_observations(budget=12):
-    """The (S, y) of every fit in a short default-space bo_search: d=2 and
-    d=3 (lsr, klsr), t from the initial design of 8 up to budget - 1."""
+@functools.cache
+def bo_fits(budget=12):
+    """(S, y, keyword arguments) of every fit in a short default-space
+    bo_search: d=2 and d=3, t from the initial design of 8 up to budget - 1.
+    Each model's first fit runs cold, its later fits warm."""
     seen = []
     fit = search.fit_gp_hyperparams
 
-    def record(S, y):
-        seen.append((np.array(S), np.array(y)))
-        return fit(S, y)
+    def record(S, y, **kwargs):
+        seen.append((np.array(S), np.array(y), kwargs))
+        return fit(S, y, **kwargs)
 
     X, _ = subspace_data(seed=5, noise=0.05)
     orig, search.fit_gp_hyperparams = search.fit_gp_hyperparams, record
@@ -236,18 +253,113 @@ def bo_observations(budget=12):
         bo_search(X, 3, default_search_space(), budget_per_model=budget, seed=1)
     finally:
         search.fit_gp_hyperparams = orig
-    return seen
+    return tuple(seen)
+
+
+def bo_observations():
+    return [(S, y) for S, y, _ in bo_fits()]
 
 
 OBSERVATIONS = [random_observations(t, d, seed=t + d) for d in (2, 3) for t in (8, 15, 16, 29)]
 
 
-def assert_fits_match_reference(sets, n_starts=16):
+def warm_init(S, y):
+    # the optimum one observation earlier, as BO passes it
+    return reference_fit(S[:-1], y[:-1])
+
+
+def assert_fits_match_reference(sets, **kwargs):
     for S, y in sets:
-        amp, ls = fit_gp_hyperparams(S, y, n_starts=n_starts)
-        ref_amp, ref_ls = reference_fit(S, y, n_starts=n_starts)
+        amp, ls = fit_gp_hyperparams(S, y, **kwargs)
+        ref_amp, ref_ls = reference_fit(S, y, **kwargs)
         assert amp == ref_amp
         assert np.array_equal(ls, ref_ls)
+
+
+def gram(S, ls):
+    K = _matern_cross(S, S, 1.0, ls)
+    K[np.diag_indices(len(S))] += 1e-8
+    return K
+
+
+def fixed_start_lengthscales(S):
+    # the length scales of the 16 fixed starts, as the fit maps them
+    scale = np.where(np.ptp(S, axis=0) > 0, np.ptp(S, axis=0), 1.0)
+    return scale * 10.0 ** (-3.0 + 6.0 * _sobol_unit_starts(S.shape[1] + 1, 16)[:, 1:])
+
+
+def bordered_stack(S, y, lengthscales):
+    t = len(y)
+    Ks = [gram(S, ls) for ls in lengthscales]
+    M = np.empty((len(Ks), t + 1, t + 1))
+    M[:, :t, :t] = Ks
+    return Ks, M, y - y.mean()
+
+
+def oracle_lml(S, y, amp, ls):
+    """The log marginal likelihood of N(0, amp (K + 1e-8 I)) at y - mean(y)."""
+    t = len(y)
+    r = y - y.mean()
+    K = amp * gram(S, ls)
+    try:
+        c = scipy.linalg.cho_factor(K, lower=True)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    return -0.5 * r @ scipy.linalg.cho_solve(c, r) - 0.5 * np.linalg.slogdet(K)[1] - 0.5 * t * math.log(2 * math.pi)
+
+
+class TestBorderedCholesky:
+    def test_matches_cho_solve_and_slogdet(self):
+        # the fit's optimum and the 16 fixed starts; two backward-stable
+        # methods agree to about cond(K) * eps, which is below 1e-10 for
+        # cond(K) <= 1e6 (the optimum's K here has cond <= 3e5), and the
+        # long length scales of some starts make K far worse conditioned
+        checked = 0
+        for S, y in OBSERVATIONS + bo_observations():
+            lss = list(fixed_start_lengthscales(S)) + [fit_gp_hyperparams(S, y)[1]]
+            Ks, M, r = bordered_stack(S, y, lss)
+            ok, quad, logdet = _bordered_cholesky(M, r)
+            assert np.array_equal(ok, np.arange(len(Ks)))
+            for K, q, ld in zip(Ks, quad, logdet):
+                q_ref = r @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(K, lower=True), r)
+                sign, ld_ref = np.linalg.slogdet(K)
+                assert sign == 1.0
+                rel = max(1e-10, np.linalg.cond(K) * np.finfo(float).eps)
+                checked += rel == 1e-10
+                assert q == pytest.approx(q_ref, rel=rel)
+                assert ld == pytest.approx(ld_ref, rel=rel, abs=1e-10)
+        assert checked >= 250
+
+    def test_bit_identical_in_any_batch(self):
+        # the lockstep fit factors a start's matrices in larger stacks than
+        # a start alone would, so no result may depend on the stack
+        for S, y in OBSERVATIONS:
+            _, M, r = bordered_stack(S, y, fixed_start_lengthscales(S))
+            singles = [_bordered_cholesky(M[i : i + 1].copy(), r) for i in range(len(M))]
+            _, quad, logdet = _bordered_cholesky(M, r)
+            assert np.array_equal(quad, [q[0] for _, q, _ in singles])
+            assert np.array_equal(logdet, [ld[0] for _, _, ld in singles])
+
+    def test_border_keeps_every_gram_that_factors(self):
+        # duplicated points make K singular but for the jitter, and targets
+        # of opposite sign on the copies put r in its null space, so
+        # r'K^-1 r = ||r||^2 / 1e-8: the border's bound holds with no slack
+        S0, y0 = OBSERVATIONS[2]
+        S = np.vstack([S0, S0])
+        y = np.concatenate([y0, -y0])
+        lss = list(fixed_start_lengthscales(S))
+        Ks, M, r = bordered_stack(S, y, lss)
+        ok, quad, _ = _bordered_cholesky(M, r)
+        factors = []
+        for i, K in enumerate(Ks):
+            try:
+                np.linalg.cholesky(K)
+                factors.append(i)
+            except np.linalg.LinAlgError:
+                pass
+        assert factors
+        assert list(ok) == factors
+        np.testing.assert_allclose(quad, (r @ r) / 1e-8, rtol=1e-6)
 
 
 class TestFitGpHyperparams:
@@ -272,28 +384,76 @@ class TestFitGpHyperparams:
         assert np.all(ls >= 1.0 / 3.0) and np.all(ls <= 3.0)
         assert 1.0 / 3.0 <= amp <= 3.0
 
+    def test_start_count_validated(self):
+        S, y = OBSERVATIONS[0]
+        for n_starts in (0, 17):
+            with pytest.raises(ValueError, match="n_starts"):
+                fit_gp_hyperparams(S, y, n_starts=n_starts)
+
     def test_bit_identical_to_one_start_at_a_time(self):
         sets = OBSERVATIONS + bo_observations()
         assert {S.shape[1] for S, _ in sets} == {2, 3}
         assert {S.shape[0] for S, _ in sets} >= {8, 11, 15, 16, 29}
         assert_fits_match_reference(sets)
 
-    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+    def test_init_none_is_the_sixteen_start_fit(self):
+        for S, y in OBSERVATIONS:
+            amp, ls = fit_gp_hyperparams(S, y)
+            for kwargs in ({"init": None}, {"n_starts": 16, "init": None}):
+                amp_none, ls_none = fit_gp_hyperparams(S, y, **kwargs)
+                assert amp_none == amp
+                assert np.array_equal(ls_none, ls)
+
+    def test_warm_fits_bit_identical_to_one_start_at_a_time(self):
+        fits = bo_fits()
+        warm = [(S, y, kw) for S, y, kw in fits if kw]
+        # every model's first fit is cold, every later one warm with 4 starts
+        assert len(fits) - len(warm) == len(default_search_space().models)
+        assert all(kw["n_starts"] == 4 and kw["init"] is not None for *_, kw in warm)
+        for S, y, kw in warm:
+            assert_fits_match_reference([(S, y)], **kw)
+        for S, y in OBSERVATIONS:
+            assert_fits_match_reference([(S, y)], n_starts=4, init=warm_init(S, y))
+
+    def test_warm_start_never_below_its_init(self):
+        # the init start is scored, and a coordinate move is taken only if
+        # it improves, so the fit ends at or above the clipped init
+        for S, y in OBSERVATIONS:
+            d = S.shape[1]
+            var, ptp = float(np.var(y)), np.ptp(S, axis=0)
+            amp_lo, amp_hi, ls_lo, ls_hi = var * 1e-3, var * 1e3, ptp * 1e-3, ptp * 1e3
+            inits = [
+                warm_init(S, y),
+                (var * 10.0, ptp * 0.05),
+                (var * 1e-6, np.full(d, 1e6)),  # clipped on every coordinate
+                (var * 1e5, ptp * np.linspace(1e-5, 1.0, d)),
+            ]
+            for a0, ls0 in inits:
+                amp, ls = fit_gp_hyperparams(S, y, n_starts=4, init=(a0, ls0))
+                floor = oracle_lml(S, y, np.clip(a0, amp_lo, amp_hi), np.clip(ls0, ls_lo, ls_hi))
+                got = oracle_lml(S, y, amp, ls)
+                assert np.isfinite(got)
+                assert got >= floor - 1e-9 * max(1.0, abs(floor))
+
+    # start counts that are no power of 2 slice the fixed 16 starts, so no
+    # Sobol balance warning comes up
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("starts_per_call", [1, 3])
     def test_bit_identical_in_small_chunks(self, monkeypatch, starts_per_call):
         # 1: every start scored alone; 3: 16 starts end on a partial chunk
         for S, y in OBSERVATIONS:
             t = S.shape[0]
-            monkeypatch.setattr(search, "_LML_BUDGET", starts_per_call * 9 * t * t)
+            monkeypatch.setattr(search, "_LML_BUDGET", starts_per_call * 9 * (t + 1) ** 2)
             assert_fits_match_reference([(S, y)])
-        # the first n Sobol starts are the same for every n, so the winner
+            assert_fits_match_reference([(S, y)], n_starts=4, init=warm_init(S, y))
+        # the first n fixed starts are the same for every n, so the winner
         # among them checks each start's own search, the last one included
         S, y = OBSERVATIONS[1]
         for n_starts in range(1, 17):
             assert_fits_match_reference([(S, y)], n_starts=n_starts)
         # initial values in chunks of 5 (5, 5, 5, 1), candidates one start a call
         S, y = OBSERVATIONS[-1]
-        monkeypatch.setattr(search, "_LML_BUDGET", 5 * S.shape[0] ** 2)
+        monkeypatch.setattr(search, "_LML_BUDGET", 5 * (S.shape[0] + 1) ** 2)
         assert_fits_match_reference([(S, y)])
 
     def test_bit_identical_on_the_per_matrix_fallback(self, monkeypatch):
@@ -305,7 +465,9 @@ class TestFitGpHyperparams:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", no_batches)
-        assert_fits_match_reference(OBSERVATIONS[1::2])
+        for S, y in OBSERVATIONS[1::2]:
+            assert_fits_match_reference([(S, y)])
+            assert_fits_match_reference([(S, y)], n_starts=4, init=warm_init(S, y))
 
     def test_memory_ceiling(self):
         # 16 starts stacked at once would peak at about 3 MB here; the entry
@@ -369,6 +531,28 @@ class TestEvaluateCandidate:
         cs = evaluate_candidate(X, 2, cfg, seed=0)
         assert cs.reg == float("-inf") and cs.spectrum is None
         assert cs.degenerate_reason == "gaussian bandwidth is zero: all points identical"
+
+
+class TestPointCeiling:
+    """Every search entry point refuses more than SEARCH_MAX_N points."""
+
+    @pytest.mark.parametrize("entry", ["evaluate_candidate", "grid_search", "bo_search"])
+    def test_above_the_ceiling_names_landmarks(self, monkeypatch, entry):
+        X, _ = subspace_data()
+        monkeypatch.setattr(search, "SEARCH_MAX_N", X.shape[1] - 1)
+        calls = {
+            "evaluate_candidate": lambda: evaluate_candidate(X, 3, CandidateConfig(model="lsr", tau=8)),
+            "grid_search": lambda: grid_search(X, 3, default_search_space()),
+            "bo_search": lambda: bo_search(X, 3, default_search_space(), budget_per_model=8),
+        }
+        with pytest.raises(ValueError, match=f"at most {X.shape[1] - 1} points.*--landmarks"):
+            calls[entry]()
+
+    def test_at_the_ceiling_runs(self, monkeypatch):
+        X, _ = subspace_data()
+        monkeypatch.setattr(search, "SEARCH_MAX_N", X.shape[1])
+        cs = evaluate_candidate(X, 3, CandidateConfig(model="lsr", tau=8))
+        assert np.isfinite(cs.reg)
 
 
 def data_with_zero_point():

@@ -12,6 +12,7 @@ ridge models get C from one spectral filter of their Gram matrix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,14 +79,24 @@ class CandidateConfig:
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """Sparse symmetric nonnegative affinity with zero diagonal, plus degrees."""
+    """Symmetric nonnegative affinity with zero diagonal, plus degrees.
 
-    a: sp.csr_matrix
+    ``dense`` is the n x n matrix, which a dense eigensolver takes whole.
+    Truncation leaves it at most 2 tau n nonzeros, so ``a``, its CSR form,
+    is what an iterative eigensolver applies above the dense cut; it is
+    built on first read.
+    """
+
+    dense: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
 
     @property
     def n(self):
-        return self.a.shape[0]
+        return self.dense.shape[0]
+
+    @cached_property
+    def a(self):
+        return sp.csr_matrix(self.dense)
 
 
 # Largest point count whose gaussian bandwidth is exact; above it the mean
@@ -240,19 +251,20 @@ def build_coefficients(X, config, seed=0):
     return klsr_coefficients(K, config.lam, approx_rank=config.approx_rank, seed=seed)
 
 
-class RankedColumns(NamedTuple):
-    """W = |C| with a zeroed diagonal, and the row order of each column of W
-    by decreasing value (ties by lowest row index)."""
+class ColumnThresholds(NamedTuple):
+    """W = |C| with a zeroed diagonal, and per truncation level tau the
+    tau-th largest value of each column of W (levels below n - 1 only)."""
 
     w: np.ndarray
-    order: np.ndarray
+    thresholds: dict
 
 
-def rank_columns(C):
+def column_thresholds(C, taus):
     """The part of ``postprocess_affinity`` that depends on C alone.
 
-    One stable sort per column serves every truncation level: level tau
-    keeps the rows ``order[:tau]`` of each column.
+    One multi-``kth`` partition per column finds the threshold of every
+    truncation level in ``taus``. Levels of n - 1 or more keep whole columns
+    and need no threshold.
 
     Raises
     ------
@@ -266,8 +278,25 @@ def rank_columns(C):
     np.fill_diagonal(W, 0.0)
     if np.any(W.sum(axis=0) == 0.0):
         raise DegenerateCandidateError("a column has no off-diagonal mass")
-    # stable argsort on -W: equal values keep ascending row order
-    return RankedColumns(W, np.argsort(-W, axis=0, kind="stable"))
+    n = W.shape[0]
+    cut = sorted({tau for tau in taus if tau < n - 1})
+    if not cut:
+        return ColumnThresholds(W, {})
+    rows = np.partition(W, [n - tau for tau in cut], axis=0)[[n - tau for tau in cut]]
+    return ColumnThresholds(W, dict(zip(cut, rows)))
+
+
+def _truncate(W, t, tau):
+    """W with each column cut to the tau entries a stable descending sort
+    ranks first: those above the column's threshold t, then the entries
+    equal to it in ascending row order. A zero threshold keeps the whole
+    column, whose other entries are zeros anyway."""
+    keep = W >= t
+    over = np.flatnonzero((np.count_nonzero(keep, axis=0) > tau) & (t > 0.0))
+    for j in over:
+        tied = np.flatnonzero(W[:, j] == t[j])
+        keep[tied[tau - np.count_nonzero(W[:, j] > t[j]) :], j] = False
+    return np.where(keep, W, 0.0)
 
 
 def postprocess_affinity(C, tau):
@@ -276,8 +305,11 @@ def postprocess_affinity(C, tau):
     In order: absolute value with zeroed diagonal, per-column truncation to
     the tau largest entries (ties broken by lowest row index), column l1
     normalization, symmetrization A = (C + C')/2. ``C`` is a coefficient
-    matrix, left untouched, or its ``rank_columns``, which lets a grid of
-    tau values share one sort.
+    matrix, left untouched, or its ``column_thresholds`` for a list of
+    levels that holds tau, which lets a grid of tau values share one
+    partition. Each column keeps the entries above its tau-th largest
+    value, plus as many entries equal to it, lowest rows first, as make
+    tau: the set a stable sort of the column would keep, with no sort.
 
     Raises
     ------
@@ -287,20 +319,22 @@ def postprocess_affinity(C, tau):
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    W, order = C if isinstance(C, RankedColumns) else rank_columns(C)
+    W, thresholds = C if isinstance(C, ColumnThresholds) else column_thresholds(C, (tau,))
     n = W.shape[0]
     if tau < n - 1:
-        keep = np.zeros_like(W, dtype=bool)
-        np.put_along_axis(keep, order[:tau, :], True, axis=0)
-        W = np.where(keep, W, 0.0)
-        if np.any(W.sum(axis=0) == 0.0):
+        W = _truncate(W, thresholds[tau], tau)
+        sums = W.sum(axis=0)
+        if np.any(sums == 0.0):
             raise DegenerateCandidateError("a column is all-zero after truncation")
-    W = W / W.sum(axis=0, keepdims=True)
-    A = (W + W.T) / 2.0
+        W /= sums
+    else:
+        W = W / W.sum(axis=0)
+    A = W + W.T
+    A /= 2.0
     degrees = A.sum(axis=1)
     if np.any(degrees <= 0.0):
         raise DegenerateCandidateError("graph has an isolated vertex")
-    return AffinityGraph(sp.csr_matrix(A), degrees)
+    return AffinityGraph(A, degrees)
 
 
 def default_approx_rank(n, k, threshold=5000):

@@ -24,9 +24,9 @@ from .affinity import (
     CandidateConfig,
     KernelSpec,
     build_coefficients,
+    column_thresholds,
     default_approx_rank,
     postprocess_affinity,
-    rank_columns,
 )
 from .errors import DegenerateError, NumericalError, SearchFailedError
 from .kmeans import Partition, kmeans
@@ -128,10 +128,11 @@ def _objective(score, kind):
     return plain_eigen_gap(score.spectrum)
 
 
-# Largest point count a search runs on. A candidate holds about five dense
+# Largest point count a search runs on. A candidate holds up to five dense
 # n x n float64 arrays at once: under tracemalloc at n = 2000,
-# evaluate_candidate peaked at 4.2-5.0 n^2 * 8 bytes and a one-model
-# grid_search at 5.2. At 10 000 points that is about 4.2 GB, half of an
+# evaluate_candidate peaked at 3.1 n^2 * 8 bytes (lsr, kernel_direct) and
+# 5.0 (klsr, whose eigendecomposition holds the most), and a one-model lsr
+# grid_search at 4.0. At 10 000 points that is about 4.0 GB, half of an
 # 8 GB host; larger inputs go through the landmark path.
 SEARCH_MAX_N = 10_000
 
@@ -164,17 +165,17 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
 
 
 def _score_taus(C, taus, make_config, k, seed, eps, threads):
-    """Post-process one coefficient matrix across the tau grid, sorting its
-    columns once for every tau."""
+    """Post-process one coefficient matrix across the tau grid, from one
+    partition of its columns for every tau."""
     try:
-        ranked = rank_columns(C)
+        columns = column_thresholds(C, taus)
     except DegenerateError as exc:
         return [_degenerate(make_config(tau), exc) for tau in taus]
 
     def one(tau):
         config = make_config(tau)
         try:
-            graph = postprocess_affinity(ranked, tau)
+            graph = postprocess_affinity(columns, tau)
             spectrum = laplacian_spectrum(graph, k, seed=seed)
         except DegenerateError as exc:
             return _degenerate(config, exc)
@@ -206,9 +207,9 @@ def _finish(X, k, scores, seed, kind, kmeans_restarts):
 def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_restarts=10):
     """Evaluate the full (model, lambda, tau) grid and cluster the winner.
 
-    The coefficient matrix is built once per (model, lambda), and its
-    columns are sorted once (``rank_columns``): each tau keeps the first tau
-    rows of that order. Models that take no ridge weight (the direct kernel
+    The coefficient matrix is built once per (model, lambda), and one
+    partition of its columns (``column_thresholds``) gives every tau its
+    per-column threshold. Models that take no ridge weight (the direct kernel
     similarity) are evaluated once per tau. Ties on the objective go to the
     first candidate in model -> lambda -> tau order.
     """
@@ -284,11 +285,22 @@ class _Posterior:
             raise NumericalError(f"GP Gram factorization failed: {exc}") from exc
         self.alpha = scipy.linalg.cho_solve(self.chol, state.y - state.prior_mean, check_finite=False)
 
-    def predict(self, Q):
+    def predict(self, Q, blocks=1):
+        """Posterior mean and variance at the rows of Q.
+
+        With ``blocks`` > 1, Q stacks that many equal-size blocks, and each
+        block's mean comes from a product over its own kernel columns: one
+        product over all of them rounds differently from a block alone. The
+        kernel, the solve and the variance are the same for any stacking, so
+        every block gets what predicting it alone would give, bit for bit.
+        """
         st = self.state
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         kstar = _matern_cross(st.S, Q, st.amplitude, st.lengthscales)
-        mu = st.prior_mean + kstar.T @ self.alpha
+        size = len(Q) // blocks
+        mu = st.prior_mean + np.concatenate(
+            [kstar[:, lo : lo + size].T @ self.alpha for lo in range(0, len(Q), size)]
+        )
         w = scipy.linalg.cho_solve(self.chol, kstar, check_finite=False)
         var = np.maximum(st.amplitude - np.einsum("ij,ij->j", kstar, w), 0.0)
         return mu, var
@@ -564,36 +576,49 @@ def _posterior_with_jitter(S, y, amplitude, lengthscales, prior_mean):
 
 
 def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
+    """The EI maximizer over the unit box: the best of ``n_samples``
+    low-discrepancy points, refined by coordinate search from the
+    ``n_refine`` best.
+
+    Each chain tries all 2d coordinate moves of its current step, takes the
+    first best if it improves EI and otherwise quarters the step, until the
+    step falls below 1e-3 or 24 rounds pass. The chains advance in lockstep:
+    a round scores the moves of every live chain in one posterior query,
+    with each chain's mean from its own block. The first chain with the
+    highest EI wins.
+    """
     cand = sobol.random(n_samples)
     mu, var = post.predict(cand)
     ei = expected_improvement(mu, np.sqrt(var), g_min)
     order = np.argsort(-ei)[:n_refine]
     d = cand.shape[1]
 
-    best_u, best_e = cand[order[0]].copy(), float(ei[order[0]])
-    for i in order:
-        u = cand[i].copy()
-        e = float(ei[i])
-        step = 0.1
-        for _ in range(24):
-            if step < 1e-3:
-                break
-            # all 2d coordinate moves as one batched posterior query
-            trials = np.repeat(u[None, :], 2 * d, axis=0)
-            for j in range(d):
-                trials[2 * j, j] = min(max(u[j] - step, 0.0), 1.0)
-                trials[2 * j + 1, j] = min(max(u[j] + step, 0.0), 1.0)
-            m, v = post.predict(trials)
-            e_trials = expected_improvement(m, np.sqrt(v), g_min)
-            i_best = int(np.argmax(e_trials))
-            if e_trials[i_best] > e + 1e-18:
-                u = trials[i_best]
-                e = float(e_trials[i_best])
-            else:
-                step /= 4.0
-        if e > best_e:
-            best_u, best_e = u.copy(), e
-    return best_u
+    u = cand[order]
+    e = ei[order]
+    step = np.full(len(order), 0.1)
+    moves = np.arange(2 * d)
+    for _ in range(24):
+        live = np.flatnonzero(step >= 1e-3)
+        if not len(live):
+            break
+        # row 2j of a chain's block moves coordinate j down a step, row 2j+1 up
+        trials = np.repeat(u[live], 2 * d, axis=0).reshape(len(live), 2 * d, d)
+        shift = np.where(moves % 2, 1.0, -1.0)[None, :] * step[live, None]
+        trials[:, moves, moves // 2] = np.clip(u[live][:, moves // 2] + shift, 0.0, 1.0)
+        m, v = post.predict(trials.reshape(-1, d), blocks=len(live))
+        e_trials = expected_improvement(m, np.sqrt(v), g_min).reshape(len(live), 2 * d)
+        i_best = np.argmax(e_trials, axis=1)
+        e_best = e_trials[np.arange(len(live)), i_best]
+        up = e_best > e[live] + 1e-18
+        u[live[up]] = trials[up, i_best[up]]
+        e[live[up]] = e_best[up]
+        step[live[~up]] /= 4.0
+
+    best_u, best_e = cand[order[0]], float(ei[order[0]])
+    for c in range(len(order)):
+        if e[c] > best_e:
+            best_u, best_e = u[c], float(e[c])
+    return best_u.copy()
 
 
 # starts of every GP fit after a model's first: the previous optimum plus
@@ -675,6 +700,10 @@ def bo_search(
     """
     if score not in SCORE_KINDS:
         raise ValueError(f"score must be one of {SCORE_KINDS}")
+    if init_design < 2:
+        raise ValueError(
+            f"init_design must be at least 2, as the GP fit needs two observations (got {init_design})"
+        )
     if budget_per_model < init_design:
         raise ValueError("budget_per_model must cover the initial design")
     X = _checked_points(X, k)

@@ -1,8 +1,10 @@
 """Normalized-Laplacian spectrum extraction and eigen-gap scoring.
 
 The Laplacian L = I - D^{-1/2} A D^{-1/2} is never formed: the k+1 smallest
-eigenvalues of L are 1 minus the k+1 largest eigenvalues of the (sparse)
-normalized affinity, which the partial eigensolver extracts directly.
+eigenvalues of L are 1 minus the k+1 largest eigenvalues of the normalized
+affinity, which the partial eigensolver extracts directly. That operator is
+a dense array up to ``linalg.DENSE_EIGS_MAX_N`` rows, where LAPACK solves it
+whole, and a sparse matrix above, where ARPACK only applies it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .errors import DegenerateCandidateError
 from .linalg import partial_sym_eigs
 
@@ -42,8 +45,13 @@ def laplacian_spectrum(graph, k, seed=0):
     if np.any(graph.degrees <= 0):
         raise ValueError("graph has a zero-degree vertex")
     dinv_sqrt = 1.0 / np.sqrt(graph.degrees)
-    scaling = sp.diags(dinv_sqrt)
-    M = (scaling @ graph.a @ scaling).tocsr()
+    if n <= linalg.DENSE_EIGS_MAX_N:
+        # entry by entry the arithmetic of the sparse scaling below
+        M = dinv_sqrt[:, None] * graph.dense
+        M *= dinv_sqrt[None, :]
+    else:
+        scaling = sp.diags(dinv_sqrt)
+        M = (scaling @ graph.a @ scaling).tocsr()
     rho, vecs = partial_sym_eigs(M, count=k + 1, seed=seed)
     sigmas = np.clip(1.0 - rho, 0.0, 2.0)
     return LaplacianSpectrum(k=k, sigmas=sigmas, vectors=vecs[:, :k])

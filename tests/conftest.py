@@ -5,12 +5,63 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from autospectral.affinity import AffinityGraph
+from autospectral.errors import DegenerateCandidateError
+from autospectral.linalg import partial_sym_eigs
+from autospectral.spectra import LaplacianSpectrum
 
 
 def graph_from_dense(A):
     """AffinityGraph from a dense symmetric nonnegative zero-diagonal matrix."""
     A = np.asarray(A, dtype=np.float64)
-    return AffinityGraph(a=sp.csr_matrix(A), degrees=A.sum(axis=1))
+    return AffinityGraph(dense=A, degrees=A.sum(axis=1))
+
+
+class SortedGraph:
+    """What ``sorted_postprocess`` returns: the CSR affinity and its degrees."""
+
+    def __init__(self, a, degrees):
+        self.a, self.degrees, self.n = a, degrees, a.shape[0]
+
+
+def sorted_postprocess(C, tau):
+    """Reference post-process by a stable descending argsort of each column:
+    keep the first tau rows of each column's order, normalize the columns,
+    symmetrize, and store the affinity as CSR."""
+    W = np.abs(C)
+    np.fill_diagonal(W, 0.0)
+    if np.any(W.sum(axis=0) == 0.0):
+        raise DegenerateCandidateError("a column has no off-diagonal mass")
+    n = W.shape[0]
+    if tau < n - 1:
+        order = np.argsort(-W, axis=0, kind="stable")
+        keep = np.zeros_like(W, dtype=bool)
+        np.put_along_axis(keep, order[:tau, :], True, axis=0)
+        W = np.where(keep, W, 0.0)
+        if np.any(W.sum(axis=0) == 0.0):
+            raise DegenerateCandidateError("a column is all-zero after truncation")
+    W = W / W.sum(axis=0, keepdims=True)
+    A = (W + W.T) / 2.0
+    degrees = A.sum(axis=1)
+    if np.any(degrees <= 0.0):
+        raise DegenerateCandidateError("graph has an isolated vertex")
+    return SortedGraph(sp.csr_matrix(A), degrees)
+
+
+def ties_at_threshold(C, tau):
+    """Whether some column of |C| holds more entries equal to its tau-th
+    largest (nonzero) value than the tau slots leave for them."""
+    W = np.abs(C)
+    np.fill_diagonal(W, 0.0)
+    t = -np.sort(-W, axis=0)[tau - 1]
+    return bool(np.any((t > 0) & ((W >= t).sum(axis=0) > tau)))
+
+
+def sparse_laplacian_spectrum(graph, k, seed=0):
+    """Reference spectrum of a ``SortedGraph``: the operator D^-1/2 A D^-1/2
+    built by two sparse diagonal products, whatever its size."""
+    scaling = sp.diags(1.0 / np.sqrt(graph.degrees))
+    rho, vecs = partial_sym_eigs((scaling @ graph.a @ scaling).tocsr(), count=k + 1, seed=seed)
+    return LaplacianSpectrum(k=k, sigmas=np.clip(1.0 - rho, 0.0, 2.0), vectors=vecs[:, :k])
 
 
 def solve_pd(A, B):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import solve_pd
+from conftest import solve_pd, sorted_postprocess, ties_at_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from autospectral.affinity import (
     kernel_matrix,
     klsr_coefficients,
     lsr_coefficients,
+    column_thresholds,
     postprocess_affinity,
 )
 from autospectral.errors import DegenerateCandidateError, DegenerateDataError, NumericalError
@@ -336,6 +337,89 @@ class TestPostprocess:
         assert np.all(g.degrees > 0)
         # column sums of the pre-symmetrization matrix are 1 each, so total mass is n/...
         assert A.sum() == pytest.approx(n * 1.0, abs=1e-9)
+
+
+def assert_matches_sorted(C, tau):
+    """postprocess_affinity gives the stable-sort reference's affinity,
+    degrees and CSR form bit for bit, or raises its degenerate reason."""
+    try:
+        want = sorted_postprocess(C, tau)
+    except DegenerateCandidateError as exc:
+        with pytest.raises(DegenerateCandidateError) as got:
+            postprocess_affinity(C, tau)
+        assert str(got.value) == str(exc)
+        return
+    got = postprocess_affinity(C, tau)
+    assert np.array_equal(got.dense, want.a.toarray())
+    assert np.array_equal(got.degrees, want.degrees)
+    assert np.array_equal(got.a.indptr, want.a.indptr)
+    assert np.array_equal(got.a.indices, want.a.indices)
+    assert np.array_equal(got.a.data, want.a.data)
+
+
+class TestTruncationMatchesStableSort:
+    def test_ties_from_duplicated_points(self):
+        # duplicated points give equal rows of C, so every column ties
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((5, 10))
+        X = np.hstack([X, X[:, :6]])
+        n = X.shape[1]
+        C = build_coefficients(X, CandidateConfig("lsr", tau=1, lam=0.1))
+        C[10:] = C[:6]
+        assert ties_at_threshold(C, 3)
+        for tau in range(1, n + 2):
+            assert_matches_sorted(C, tau)
+
+    @given(n=st.integers(3, 9), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_small_integer_entries(self, n, seed):
+        # entries in -3..3 tie often and leave some columns with fewer
+        # nonzeros than tau; columns without off-diagonal mass are degenerate
+        C = np.random.default_rng(seed).integers(-3, 4, (n, n)).astype(np.float64)
+        for tau in range(1, n + 2):
+            assert_matches_sorted(C, tau)
+
+    def test_boundary_levels(self):
+        rng = np.random.default_rng(12)
+        for n in (3, 4, 7, 20):
+            C = rng.standard_normal((n, n))
+            for tau in (1, 2, n - 2, n - 1, n):
+                assert_matches_sorted(C, tau)
+
+    def test_column_with_fewer_nonzeros_than_tau(self):
+        C = np.random.default_rng(13).random((8, 8))
+        C[:, 2] = 0.0
+        C[[4, 6], 2] = 0.5
+        assert np.count_nonzero(C[:, 2]) < 5
+        for tau in (2, 3, 5, 6):
+            assert_matches_sorted(C, tau)
+
+    def test_degenerate_reasons(self):
+        # a column without off-diagonal mass fails before truncation; column
+        # sums that overflow to inf normalize every weight to zero, which
+        # leaves isolated vertices. "all-zero after truncation" cannot arise
+        # from finite C: each column keeps its largest entry.
+        for C, reason, taus in (
+            (np.eye(4), "a column has no off-diagonal mass", (1, 2, 4)),
+            (np.full((4, 4), 1e308), "graph has an isolated vertex", (2, 4)),
+        ):
+            for tau in taus:
+                with np.errstate(over="ignore"):
+                    with pytest.raises(DegenerateCandidateError, match=reason):
+                        postprocess_affinity(C, tau)
+                    assert_matches_sorted(C, tau)
+
+    def test_shared_thresholds_match_one_level(self):
+        # a grid's one partition for all levels gives each level the graph
+        # of its own post-process
+        C = np.random.default_rng(14).integers(-2, 3, (12, 12)).astype(np.float64)
+        taus = (1, 3, 5, 10, 11, 12, 13)
+        shared = column_thresholds(C, taus)
+        assert sorted(shared.thresholds) == [1, 3, 5, 10]
+        for tau in taus:
+            got, want = postprocess_affinity(shared, tau), postprocess_affinity(C, tau)
+            assert np.array_equal(got.dense, want.dense)
+            assert np.array_equal(got.degrees, want.degrees)
 
 
 class TestKernelRankBound:

@@ -13,7 +13,7 @@ from scipy.stats import spearmanr
 
 import autospectral
 from autospectral import linalg, search
-from autospectral.affinity import CandidateConfig, KernelSpec, build_coefficients
+from autospectral.affinity import CandidateConfig, KernelSpec, build_coefficients, postprocess_affinity
 from autospectral.errors import SearchFailedError
 from autospectral.kmeans import Partition
 from autospectral.metrics import clustering_accuracy
@@ -27,13 +27,16 @@ from autospectral.search import (
     evaluate_candidate,
     expected_improvement,
     _matern_cross,
+    _maximize_ei,
     _Posterior,
     _bordered_cholesky,
     _sobol_unit_starts,
     fit_gp_hyperparams,
     grid_search,
 )
+from autospectral.spectra import laplacian_spectrum, relative_eigen_gap
 from autospectral.synthetic import random_subspaces
+from conftest import sorted_postprocess, sparse_laplacian_spectrum, ties_at_threshold
 
 
 class TestMatern:
@@ -225,6 +228,53 @@ def reference_fit(S, y, n_starts=16, sweeps=2, init=None):
     if best_amp is None or not np.isfinite(best_val):
         return 1.0, ls_default
     return best_amp, best_ls
+
+
+def reference_predict(post, Q):
+    """Posterior mean and variance at the rows of Q from one kernel product."""
+    st = post.state
+    kstar = _matern_cross(st.S, Q, st.amplitude, st.lengthscales)
+    mu = st.prior_mean + kstar.T @ post.alpha
+    w = scipy.linalg.cho_solve(post.chol, kstar, check_finite=False)
+    return mu, np.maximum(st.amplitude - np.einsum("ij,ij->j", kstar, w), 0.0)
+
+
+def reference_maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4, rounds=None):
+    """The EI refinement one chain at a time, each round one posterior
+    query of the chain's 2d moves. ``rounds``, if given, collects the
+    number of rounds each chain ran."""
+    cand = sobol.random(n_samples)
+    mu, var = reference_predict(post, cand)
+    ei = expected_improvement(mu, np.sqrt(var), g_min)
+    order = np.argsort(-ei)[:n_refine]
+    d = cand.shape[1]
+    best_u, best_e = cand[order[0]].copy(), float(ei[order[0]])
+    for i in order:
+        u = cand[i].copy()
+        e = float(ei[i])
+        step = 0.1
+        ran = 0
+        for _ in range(24):
+            if step < 1e-3:
+                break
+            ran += 1
+            trials = np.repeat(u[None, :], 2 * d, axis=0)
+            for j in range(d):
+                trials[2 * j, j] = min(max(u[j] - step, 0.0), 1.0)
+                trials[2 * j + 1, j] = min(max(u[j] + step, 0.0), 1.0)
+            m, v = reference_predict(post, trials)
+            e_trials = expected_improvement(m, np.sqrt(v), g_min)
+            i_best = int(np.argmax(e_trials))
+            if e_trials[i_best] > e + 1e-18:
+                u = trials[i_best]
+                e = float(e_trials[i_best])
+            else:
+                step /= 4.0
+        if rounds is not None:
+            rounds.append(ran)
+        if e > best_e:
+            best_u, best_e = u.copy(), e
+    return best_u
 
 
 def random_observations(t, d, seed):
@@ -484,13 +534,60 @@ class TestFitGpHyperparams:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bo_trajectory_unchanged(self, monkeypatch, threads):
+        # against the reference pipeline throughout: one-start-at-a-time GP
+        # fits, one EI chain at a time, sorted truncation, sparse operator
         X, _ = subspace_data(seed=8, noise=0.05)
         space = default_search_space()
         fast = bo_search(X, 3, space, budget_per_model=12, seed=2, threads=threads)
         monkeypatch.setattr(search, "fit_gp_hyperparams", reference_fit)
+        monkeypatch.setattr(search, "_maximize_ei", reference_maximize_ei)
+        monkeypatch.setattr(search, "postprocess_affinity", sorted_postprocess)
+        monkeypatch.setattr(search, "laplacian_spectrum", sparse_laplacian_spectrum)
         ref = bo_search(X, 3, space, budget_per_model=12, seed=2, threads=threads)
         assert [s.config for s in fast.scores] == [s.config for s in ref.scores]
         assert [s.reg for s in fast.scores] == [s.reg for s in ref.scores]
+        assert fast.winner.config == ref.winner.config
+        assert np.array_equal(fast.partition.labels, ref.partition.labels)
+
+
+def fitted_posteriors():
+    """The GP posterior of every fit in a short BO run, with the incumbent
+    and the dimension: d = 2 (lsr, kernel_direct) and d = 3 (klsr)."""
+    out = []
+    for S, y, kwargs in bo_fits():
+        amp, ls = fit_gp_hyperparams(S, y, **kwargs)
+        post = search._posterior_with_jitter(S, y, amp, ls, float(np.mean(y)))
+        out.append((post, float(np.min(y)), S.shape[1]))
+    return out
+
+
+class TestMaximizeEi:
+    def test_bit_identical_to_one_chain_at_a_time(self):
+        from scipy.stats import qmc
+
+        rounds_seen = set()
+        dims = set()
+        for i, (post, g_min, d) in enumerate(fitted_posteriors()):
+            rounds = []
+            want = reference_maximize_ei(post, g_min, qmc.Sobol(d, seed=i), rounds=rounds)
+            got = _maximize_ei(post, g_min, qmc.Sobol(d, seed=i))
+            assert np.array_equal(got, want)
+            dims.add(d)
+            if len(set(rounds)) > 1:
+                rounds_seen.add(d)
+        # chains of 4 and of 6 trials, in runs whose chains stop in different rounds
+        assert dims == {2, 3}
+        assert rounds_seen == {2, 3}
+
+    def test_posterior_mean_and_variance_batch_invariant(self):
+        rng = np.random.default_rng(0)
+        for post, _, d in fitted_posteriors():
+            for blocks in (1, 2, 3, 4):
+                Q = rng.random((blocks, 2 * d, d))
+                mu, var = post.predict(Q.reshape(-1, d), blocks=blocks)
+                alone = [reference_predict(post, q) for q in Q]
+                assert np.array_equal(mu, np.concatenate([m for m, _ in alone]))
+                assert np.array_equal(var, np.concatenate([v for _, v in alone]))
 
 
 def ideal_two_cluster_data():
@@ -531,6 +628,107 @@ class TestEvaluateCandidate:
         cs = evaluate_candidate(X, 2, cfg, seed=0)
         assert cs.reg == float("-inf") and cs.spectrum is None
         assert cs.degenerate_reason == "gaussian bandwidth is zero: all points identical"
+
+
+def sorted_score(X, k, config, seed=0):
+    """The candidate's spectrum and score through the reference pipeline:
+    stable-sort truncation, CSR affinity, sparse-scaled operator."""
+    C = build_coefficients(X, config, seed=seed)
+    spectrum = sparse_laplacian_spectrum(sorted_postprocess(C, config.tau), k, seed=seed)
+    return spectrum, relative_eigen_gap(spectrum)
+
+
+def assert_scores_match_sorted(X, k, scores):
+    for got in scores:
+        spectrum, reg = sorted_score(X, k, got.config)
+        assert got.reg == reg
+        assert np.array_equal(got.spectrum.sigmas, spectrum.sigmas)
+        assert np.array_equal(got.spectrum.vectors, spectrum.vectors)
+
+
+def tied_subspace_data():
+    # duplicated points tie entries of |C| at the truncation thresholds
+    X, _ = subspace_data(seed=6, noise=0.05)
+    X = X[:, ::2]
+    return np.hstack([X, X[:, ::4]])
+
+
+# dense cuts that send every operator to LAPACK, or to ARPACK
+EIGS_PATHS = {"lapack": None, "arpack": 20}
+SCORED_MODELS = (
+    ModelSpec("lsr"),
+    ModelSpec("klsr", KernelSpec("gaussian")),
+    ModelSpec("kernel_direct", KernelSpec("gaussian")),
+)
+
+
+class TestScoringMatchesSortedPipeline:
+    @pytest.mark.parametrize("path", sorted(EIGS_PATHS))
+    def test_evaluate_candidate(self, monkeypatch, path):
+        if EIGS_PATHS[path] is not None:
+            monkeypatch.setattr(linalg, "DENSE_EIGS_MAX_N", EIGS_PATHS[path])
+        X = tied_subspace_data()
+        n = X.shape[1]
+        assert n > 20
+        for model in SCORED_MODELS:
+            for tau in (1, 2, 9, n - 2, n - 1, n):
+                config = CandidateConfig(model.name, tau=tau, lam=0.1, kernel=model.kernel)
+                assert_scores_match_sorted(X, 3, [evaluate_candidate(X, 3, config)])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("path", sorted(EIGS_PATHS))
+    def test_grid_search(self, monkeypatch, path, threads):
+        if EIGS_PATHS[path] is not None:
+            monkeypatch.setattr(linalg, "DENSE_EIGS_MAX_N", EIGS_PATHS[path])
+        X = tied_subspace_data()
+        C = build_coefficients(X, CandidateConfig("lsr", tau=1, lam=0.01))
+        assert all(ties_at_threshold(C, tau) for tau in (1, 4, 9, 15))
+        space = SearchSpace(models=SCORED_MODELS, lambdas=(0.01, 1.0), taus=(1, 4, 9, 15))
+        res = grid_search(X, 3, space, seed=0, threads=threads)
+        assert len(res.scores) == 20
+        assert_scores_match_sorted(X, 3, res.scores)
+
+
+class TestMemoryCeiling:
+    """Peaks at n = 2000, above the dense cut, in units of one n x n float64
+    array. The search bounds are the multiples the SEARCH_MAX_N comment
+    states, plus less than one array."""
+
+    @staticmethod
+    def peak_arrays(run, n):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        X, _ = random_subspaces(
+            k=4, ambient_dim=30, intrinsic_dim=3, per_cluster=500, noise_std=0.05, seed=0
+        )
+        assert X.shape[1] == 2000 > linalg.DENSE_EIGS_MAX_N
+        return X
+
+    @pytest.mark.parametrize("model", [SCORED_MODELS[0], SCORED_MODELS[2]], ids=lambda m: m.name)
+    def test_evaluate_candidate(self, points, model):
+        config = CandidateConfig(model.name, tau=10, lam=0.1, kernel=model.kernel)
+        assert self.peak_arrays(lambda: evaluate_candidate(points, 4, config), 2000) < 3.5
+
+    def test_post_process_and_sparse_operator(self, points):
+        # truncation holds W and one n x n array besides C; the operator
+        # above the cut is sparse and adds no n x n array
+        C = build_coefficients(points, CandidateConfig("lsr", tau=10, lam=0.1))
+        assert self.peak_arrays(lambda: postprocess_affinity(C, 10), 2000) < 2.5
+        graphs = iter([postprocess_affinity(C, 10) for _ in range(2)])
+        assert self.peak_arrays(lambda: laplacian_spectrum(next(graphs), 4), 2000) < 0.5
+
+    def test_one_model_grid_search(self, points):
+        space = SearchSpace(models=SCORED_MODELS[:1], lambdas=(0.1,), taus=(5, 10))
+        run = lambda: grid_search(points, 4, space, threads=1, kmeans_restarts=1)  # noqa: E731
+        assert self.peak_arrays(run, 2000) < 4.5
 
 
 class TestPointCeiling:
@@ -754,6 +952,13 @@ class TestBoSearch:
         X, _ = subspace_data(seed=10)
         with pytest.raises(ValueError):
             bo_search(X, 3, SearchSpace(models=(ModelSpec("lsr"),)), budget_per_model=4)
+
+    @pytest.mark.parametrize("init_design", [0, 1])
+    def test_initial_design_needs_two_points(self, init_design):
+        X, _ = subspace_data(seed=10)
+        space = SearchSpace(models=(ModelSpec("lsr"),))
+        with pytest.raises(ValueError, match="init_design must be at least 2"):
+            bo_search(X, 3, space, budget_per_model=6, init_design=init_design)
 
     def test_dimensions_per_model(self):
         space = default_search_space()

@@ -276,8 +276,9 @@ def column_thresholds(C, taus):
         raise ValueError("C must be square")
     W = np.abs(C)
     np.fill_diagonal(W, 0.0)
-    if np.any(W.sum(axis=0) == 0.0):
-        raise DegenerateCandidateError("a column has no off-diagonal mass")
+    with np.errstate(over="ignore"):  # an overflowing sum is no zero column
+        if np.any(W.sum(axis=0) == 0.0):
+            raise DegenerateCandidateError("a column has no off-diagonal mass")
     n = W.shape[0]
     cut = sorted({tau for tau in taus if tau < n - 1})
     if not cut:
@@ -314,21 +315,22 @@ def postprocess_affinity(C, tau):
     Raises
     ------
     DegenerateCandidateError
-        If any column is entirely zero after abs/zero-diagonal or after
-        truncation, or any vertex of the symmetrized graph has zero degree.
+        If any column is entirely zero after abs/zero-diagonal, the kept
+        weights of a column sum past float64's range, or any vertex of the
+        symmetrized graph has zero degree.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     W, thresholds = C if isinstance(C, ColumnThresholds) else column_thresholds(C, (tau,))
     n = W.shape[0]
-    if tau < n - 1:
-        W = _truncate(W, thresholds[tau], tau)
+    W = _truncate(W, thresholds[tau], tau) if tau < n - 1 else W.copy()
+    # each column keeps its largest entry, so no sum is zero; it can
+    # overflow, which would normalize every weight of the column to zero
+    with np.errstate(over="ignore"):
         sums = W.sum(axis=0)
-        if np.any(sums == 0.0):
-            raise DegenerateCandidateError("a column is all-zero after truncation")
-        W /= sums
-    else:
-        W = W / W.sum(axis=0)
+    if not np.all(np.isfinite(sums)):
+        raise DegenerateCandidateError("the kept weights of a column overflow float64 when summed")
+    W /= sums
     A = W + W.T
     A /= 2.0
     degrees = A.sum(axis=1)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,42 +25,12 @@ def load_csv(path, labels_last_column=False):
     label. Ragged rows and non-numeric cells raise DataFormatError with the
     offending 1-based line number.
     """
-    rows = []
-    labels = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-                if labels_last_column and width < 2:
-                    raise DataFormatError("need at least one feature besides the label", line=lineno)
-            elif len(fields) != width:
-                raise DataFormatError(f"expected {width} fields, got {len(fields)}", line=lineno)
-            if labels_last_column:
-                *feat, lab = fields
-            else:
-                feat, lab = fields, None
-            try:
-                row = [float(f) for f in feat]
-            except ValueError:
-                raise DataFormatError("non-numeric cell", line=lineno) from None
-            if lab is not None:
-                try:
-                    lab_val = float(lab)
-                except ValueError:
-                    raise DataFormatError("non-numeric label", line=lineno) from None
-                if lab_val != int(lab_val):
-                    raise DataFormatError("label is not an integer", line=lineno)
-                labels.append(int(lab_val))
-            rows.append(row)
-    if not rows:
-        raise DataFormatError(f"no data rows in {path}")
-    X = np.asarray(rows, dtype=np.float64).T
-    return X, (np.asarray(labels, dtype=np.int64) if labels_last_column else None)
+    data = _read_table(path, labels_last_column)
+    if not labels_last_column:
+        return data.T, None
+    if data.shape[1] < 2:
+        raise DataFormatError("need at least one feature besides the label", line=_line_of_row(path, 0))
+    return data[:, :-1].T, _integer_labels(data[:, -1], path)
 
 
 def save_csv(path, X, labels=None):
@@ -74,22 +46,84 @@ def save_csv(path, X, labels=None):
 
 def load_labels_csv(path):
     """One integer label per line."""
-    labels = []
+    data = _read_table(path, labels_last_column=True)
+    if data.shape[1] != 1:
+        raise DataFormatError(f"expected 1 field, got {data.shape[1]}", line=_line_of_row(path, 0))
+    return _integer_labels(data[:, 0], path)
+
+
+def _read_table(path, labels_last_column):
+    """Rows x fields float64 array of a comma-separated file.
+
+    numpy's C reader parses the file in one call, at about the array's own
+    size in memory. Empty lines are skipped; there is no comment character
+    and no quoting. Each cell equals ``float(cell)`` bit for bit, but the
+    reader rejects two spellings ``float`` accepts: a line of only whitespace
+    and ``_`` digit groups. Only when it rejects the file or finds no data
+    does a second pass look for the line at fault.
+    """
+    try:
+        data = _loadtxt(path)
+    except ValueError:
+        data = None
+    if data is None or data.size == 0:
+        _raise_at_first_rejected_line(path, labels_last_column)
+        raise DataFormatError(f"numpy's reader rejected {path} at no line")
+    return data
+
+
+def _loadtxt(source):
+    """numpy's C reader on a path or a list of lines; no rows give an empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2, comments=None, encoding="utf-8")
+
+
+def _reader_accepts(text):
+    """Whether numpy's reader parses ``text`` as one row of numbers; an
+    empty field, which it would skip as an empty line, is rejected."""
+    try:
+        return _loadtxt([text]).size > 0
+    except ValueError:
+        return False
+
+
+def _raise_at_first_rejected_line(path, labels_last_column):
+    """Raise DataFormatError at the first line the reader rejects, asking
+    the reader itself about each line, and about each field of the line at
+    fault. Keeps no values. Returns only if no line is at fault."""
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line == "\n":
                 continue
-            try:
-                v = float(line)
-            except ValueError:
-                raise DataFormatError("non-numeric label", line=lineno) from None
-            if v != int(v):
-                raise DataFormatError("label is not an integer", line=lineno)
-            labels.append(int(v))
-    if not labels:
-        raise DataFormatError(f"no labels in {path}")
-    return np.asarray(labels, dtype=np.int64)
+            fields = line.rstrip("\n").split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise DataFormatError(f"expected {width} fields, got {len(fields)}", line=lineno)
+            if not _reader_accepts(line):
+                bad = next(i for i, f in enumerate(fields) if not _reader_accepts(f))
+                what = "label" if labels_last_column and bad == width - 1 else "cell"
+                raise DataFormatError(f"non-numeric {what}", line=lineno)
+    if width is None:
+        raise DataFormatError(f"no data rows in {path}")
+
+
+def _line_of_row(path, row):
+    """1-based line number of data row ``row``, counting the empty lines the
+    reader skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data_lines = (lineno for lineno, line in enumerate(fh, start=1) if line != "\n")
+        return next(itertools.islice(data_lines, row, None))
+
+
+def _integer_labels(values, path):
+    """int64 labels from float64 cells that hold integers within int64's range."""
+    ok = (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
+    if not np.all(ok):
+        raise DataFormatError("label is not an integer", line=_line_of_row(path, int(np.argmin(ok))))
+    return values.astype(np.int64)
 
 
 def _read_be_header(buf, path, n_fields):

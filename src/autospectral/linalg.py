@@ -16,8 +16,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .errors import EigsolverError
 
@@ -156,6 +154,11 @@ def _dense_top(M, count):
 
 def _componentwise_top(M, count, seed):
     """Top ``count`` eigenpairs of a sparse operator, one component at a time."""
+    # imported here, not at the top: only operators above DENSE_EIGS_MAX_N
+    # rows come here, and neither module is needed below that
+    import scipy.sparse.csgraph
+    import scipy.sparse.linalg
+
     n = M.shape[0]
     _, comp = scipy.sparse.csgraph.connected_components(M, directed=False)
     components = np.split(np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp))[:-1])

@@ -4,7 +4,6 @@ volume-weighted distance between partitions of the same graph."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def confusion_counts(pred, truth):
@@ -22,6 +21,10 @@ def clustering_accuracy(pred, truth):
     Rectangular confusion matrices (k_pred != k_true) are handled directly
     by the assignment solver.
     """
+    # imported here, not at the top: scipy.optimize takes about 0.2 s to
+    # load, and a run without truth labels never scores accuracy
+    from scipy.optimize import linear_sum_assignment
+
     M = confusion_counts(pred, truth)
     rows, cols = linear_sum_assignment(M, maximize=True)
     return float(M[rows, cols].sum()) / pred.n

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.special import ndtr
 
 from .affinity import (
     MODEL_KERNEL_DIRECT,
@@ -312,6 +311,10 @@ def expected_improvement(mu, sigma, g_min):
     Elementwise over the 1-d arrays ``mu`` and ``sigma``; where sigma is 0
     the improvement is deterministic.
     """
+    # imported here, not at the top: only BO computes EI, and scipy.stats,
+    # which BO loads for its Sobol points, loads scipy.special anyway
+    from scipy.special import ndtr
+
     out = np.maximum(g_min - mu, 0.0)
     pos = sigma > 0
     z = (g_min - mu[pos]) / sigma[pos]

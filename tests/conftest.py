@@ -25,21 +25,24 @@ class SortedGraph:
 
 def sorted_postprocess(C, tau):
     """Reference post-process by a stable descending argsort of each column:
-    keep the first tau rows of each column's order, normalize the columns,
-    symmetrize, and store the affinity as CSR."""
+    keep the first tau rows of each column's order, normalize the columns
+    (whose sums must be finite), symmetrize, and store the affinity as CSR."""
     W = np.abs(C)
     np.fill_diagonal(W, 0.0)
-    if np.any(W.sum(axis=0) == 0.0):
-        raise DegenerateCandidateError("a column has no off-diagonal mass")
+    with np.errstate(over="ignore"):
+        if np.any(W.sum(axis=0) == 0.0):
+            raise DegenerateCandidateError("a column has no off-diagonal mass")
     n = W.shape[0]
     if tau < n - 1:
         order = np.argsort(-W, axis=0, kind="stable")
         keep = np.zeros_like(W, dtype=bool)
         np.put_along_axis(keep, order[:tau, :], True, axis=0)
         W = np.where(keep, W, 0.0)
-        if np.any(W.sum(axis=0) == 0.0):
-            raise DegenerateCandidateError("a column is all-zero after truncation")
-    W = W / W.sum(axis=0, keepdims=True)
+    with np.errstate(over="ignore"):
+        sums = W.sum(axis=0, keepdims=True)
+    if not np.all(np.isfinite(sums)):
+        raise DegenerateCandidateError("the kept weights of a column overflow float64 when summed")
+    W = W / sums
     A = (W + W.T) / 2.0
     degrees = A.sum(axis=1)
     if np.any(degrees <= 0.0):

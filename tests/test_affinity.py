@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -396,18 +397,28 @@ class TestTruncationMatchesStableSort:
 
     def test_degenerate_reasons(self):
         # a column without off-diagonal mass fails before truncation; column
-        # sums that overflow to inf normalize every weight to zero, which
-        # leaves isolated vertices. "all-zero after truncation" cannot arise
-        # from finite C: each column keeps its largest entry.
+        # sums that overflow to inf are named as such, on both sides of the
+        # n - 1 cut, without numpy's overflow warning
+        overflow = "the kept weights of a column overflow float64 when summed"
         for C, reason, taus in (
             (np.eye(4), "a column has no off-diagonal mass", (1, 2, 4)),
-            (np.full((4, 4), 1e308), "graph has an isolated vertex", (2, 4)),
+            (np.full((4, 4), 1e308), overflow, (2, 3, 4)),
         ):
             for tau in taus:
-                with np.errstate(over="ignore"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
                     with pytest.raises(DegenerateCandidateError, match=reason):
                         postprocess_affinity(C, tau)
-                    assert_matches_sorted(C, tau)
+                assert_matches_sorted(C, tau)
+
+    def test_sum_overflow_only_where_kept_weights_overflow(self):
+        # whole columns overflow, but one kept entry per column does not
+        C = np.full((4, 4), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = postprocess_affinity(C, 1)
+        assert np.all(np.isfinite(graph.dense)) and np.all(graph.degrees > 0)
+        assert_matches_sorted(C, 1)
 
     def test_shared_thresholds_match_one_level(self):
         # a grid's one partition for all levels gives each level the graph

@@ -121,6 +121,22 @@ class TestUsageErrors:
     def test_missing_file(self, tmp_path):
         assert run_cli(base_args(tmp_path / "nope.csv", tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("label", ["inf", "nan", "1e30"])
+    def test_non_integer_label_is_a_clean_error(self, subspace_csv, tmp_path, capsys, label):
+        # the bad label sits on line 3 of the data file and of the labels file
+        plain, labeled, n = subspace_csv
+        lines = labeled.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + label
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(["1", "2", label] + ["1"] * (n - 3)) + "\n")
+        for extra in ({"--labels": "last"}, {"--labels": str(labels)}):
+            source = data if extra["--labels"] == "last" else plain
+            assert run_cli(base_args(source, tmp_path / "x", **extra)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 3: label is not an integer")
+
     def test_too_many_points_points_to_landmarks(self, subspace_csv, tmp_path, monkeypatch, capsys):
         # 60 points above a ceiling of 50 fail cleanly; 20 landmarks pass
         plain, _, n = subspace_csv

@@ -2,10 +2,13 @@ import csv
 import dataclasses
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from autospectral.dataio import (
     IDX_IMAGES_MAGIC,
@@ -78,6 +81,144 @@ class TestCsv:
         p = tmp_path / "labels.csv"
         save_labels(p, [3, 1, 2, 2])
         np.testing.assert_array_equal(load_labels_csv(p), [3, 1, 2, 2])
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestCsvReader:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.integers(1, 4).flatmap(
+            lambda w: st.lists(st.lists(finite_floats, min_size=w, max_size=w), min_size=1, max_size=6)
+        ),
+        spelling=st.sampled_from([repr, lambda v: "%.17g" % v]),
+    )
+    def test_cells_equal_float_bit_for_bit(self, tmp_path, rows, spelling):
+        # repr is save_csv's spelling; %.17g is np.savetxt's in the benchmark inputs
+        cells = [[spelling(v) for v in row] for row in rows]
+        p = tmp_path / "cells.csv"
+        p.write_text("".join(",".join(row) + "\n" for row in cells))
+        X, _ = load_csv(p)
+        want = np.array([[float(c) for c in row] for row in cells]).T
+        assert X.shape == want.shape
+        assert np.array_equal(bits(X), bits(want))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2.5\r\n-3,4e-3\r\n",  # CRLF
+            " 1 ,\t2.5\n-3 , 4e-3 \n",  # spaces around fields
+            "1,2.5\n\n\n-3,4e-3\n",  # empty lines in the middle
+            "1,2.5\n-3,4e-3\n\n\n",  # empty lines at the end
+            "1,2.5\n-3,4e-3",  # no final newline
+        ],
+    )
+    def test_layouts(self, tmp_path, text):
+        p = tmp_path / "layout.csv"
+        p.write_bytes(text.encode())
+        X, _ = load_csv(p)
+        assert np.array_equal(X, [[1.0, -3.0], [2.5, 4e-3]])
+
+    def test_single_row_and_single_column(self, tmp_path):
+        p = tmp_path / "row.csv"
+        p.write_text("1,2,3\n")
+        X, _ = load_csv(p)
+        assert np.array_equal(X, [[1.0], [2.0], [3.0]])
+        p.write_text("1\n2\n3\n")
+        X, _ = load_csv(p)
+        assert np.array_equal(X, [[1.0, 2.0, 3.0]])
+
+    def test_labels_with_empty_lines(self, tmp_path):
+        p = tmp_path / "labeled.csv"
+        p.write_text("\n0.5,1\n\n1.5,2.0\n")
+        X, labels = load_csv(p, labels_last_column=True)
+        assert np.array_equal(X, [[0.5, 1.5]])
+        assert labels.dtype == np.int64 and np.array_equal(labels, [1, 2])
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("1,2\n\n3,4,5\n", 3, "expected 2 fields, got 3"),  # ragged
+            ("1,2\n3,4,\n", 2, "expected 2 fields, got 3"),  # trailing comma
+            ("1,2,\n3,4,\n", 1, "non-numeric cell"),  # trailing comma on every line
+            ("1,2\n# note\n", 2, "expected 2 fields, got 1"),  # no comment character
+            ("# a,b\n1,2\n", 1, "non-numeric cell"),
+            ("1,2\n3,1_000\n", 2, "non-numeric cell"),  # float() accepts digit groups
+            ("1\n  \n2\n", 2, "non-numeric cell"),  # a line of only whitespace
+            ("1,2\n  \n", 2, "expected 2 fields, got 1"),
+            ("  \n\t\n", 1, "non-numeric cell"),  # blank-only file
+            ("\n\n", None, "no data rows"),  # only empty lines
+        ],
+    )
+    def test_error_lines(self, tmp_path, text, line, reason):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=reason) as err:
+            load_csv(p)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("1,1\n2,x\n", 2, "non-numeric label"),
+            ("1,x\n", 1, "non-numeric label"),
+            ("1,1\n\n2,1.5\n", 3, "label is not an integer"),
+            ("1,1\n2,nan\n", 2, "label is not an integer"),
+            ("1,1\n2,inf\n", 2, "label is not an integer"),
+            ("1,-inf\n", 1, "label is not an integer"),
+            ("1,1\n2,1e30\n", 2, "label is not an integer"),
+            ("1\n2\n", 1, "need at least one feature besides the label"),
+        ],
+    )
+    def test_label_error_lines(self, tmp_path, text, line, reason):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=reason) as err:
+            load_csv(p, labels_last_column=True)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("1\n\nx\n", 3, "non-numeric label"),
+            ("1\n2.5\n", 2, "label is not an integer"),
+            ("1\nnan\n", 2, "label is not an integer"),
+            ("inf\n", 1, "label is not an integer"),
+            ("1\n1e30\n", 2, "label is not an integer"),
+            ("1,2\n", 1, "expected 1 field, got 2"),
+            ("", None, "no data rows"),
+        ],
+    )
+    def test_labels_file_error_lines(self, tmp_path, text, line, reason):
+        p = tmp_path / "labels.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=reason) as err:
+            load_labels_csv(p)
+        assert err.value.line == line
+
+    def test_labels_file_accepts_integral_floats(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("1\n2.0\n-0.0\n-3\n")
+        labels = load_labels_csv(p)
+        assert labels.dtype == np.int64 and np.array_equal(labels, [1, 2, 0, -3])
+
+    def test_peak_memory_is_about_the_array(self, tmp_path):
+        X = np.random.default_rng(3).standard_normal((100, 2000))
+        p = tmp_path / "big.csv"
+        save_csv(p, X)
+        tracemalloc.start()
+        try:
+            Y, _ = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(Y, X)
+        assert peak <= 2 * X.nbytes
 
 
 def idx_bytes(images, rows, cols):

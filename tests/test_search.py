@@ -970,10 +970,16 @@ class TestBoSearch:
         assert [d[0] for d in bo_dimensions(direct, space)] == ["xi", "tau"]
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is about half of the package's import time, and only BO's
-    # Sobol points need it
+def test_import_leaves_unused_scipy_modules_unloaded():
+    # each is imported by the one function that needs it: BO's Sobol points
+    # (scipy.stats) and EI (scipy.special), accuracy against truth labels
+    # (scipy.optimize), and the ARPACK path above DENSE_EIGS_MAX_N rows
+    # (scipy.sparse.csgraph, scipy.sparse.linalg)
+    unused = ["scipy.stats", "scipy.optimize", "scipy.special", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
     env = {**os.environ, "PYTHONPATH": str(Path(autospectral.__file__).parents[1])}
-    code = "import sys, autospectral; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, autospectral, autospectral.dataio, autospectral.cli; "
+        f"print([m for m in {unused!r} if m in sys.modules])"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -26,7 +26,7 @@ MODEL_KLSR = "klsr"
 MODEL_KERNEL_DIRECT = "kernel_direct"
 MODELS = (MODEL_LSR, MODEL_KLSR, MODEL_KERNEL_DIRECT)
 
-KERNEL_KINDS = ("linear", "gaussian", "polynomial")
+KERNEL_KINDS = ("gaussian", "polynomial")
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,7 @@ def kernel_matrix(X, spec):
     n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two points")
-    if spec.kind == "linear":
-        K = X.T @ X
-    elif spec.kind == "polynomial":
+    if spec.kind == "polynomial":
         K = (X.T @ X + spec.offset) ** spec.degree
     else:
         sigma, _ = gaussian_bandwidth(X, spec.xi)

@@ -48,6 +48,9 @@ class Partition:
 # block's rows x k tile in cache.
 _TILE = 32768
 
+# Rows per distance product in _assign; see its docstring for why 960.
+_BLOCK = 960
+
 
 def _sq_norms(A):
     return np.einsum("ij,ij->i", A, A)
@@ -67,26 +70,44 @@ def _assign(P, pn, centers):
     """Nearest center of every row of P and its squared distance; ties take
     the lowest center.
 
-    One product gives every p.c; the rest runs in row blocks whose rows x k
-    tile stays in cache. (A product per block would be cheaper, but BLAS
-    then rounds some entries differently.) The block's |p|^2 + |c|^2 is the
-    product [|p|^2, 1] @ [1; |c|^2]: the same single rounding as the sum,
-    at a quarter of the cost of numpy's broadcast add.
+    Every p.c comes from a product over a block of ``_BLOCK`` rows, written
+    into one reused buffer, so no array spans all n rows times k; inside a
+    block the distances run in tiles whose rows x k stay in cache. The
+    block's |p|^2 + |c|^2 is the product [|p|^2, 1] @ [1; |c|^2]: the same
+    single rounding as the sum, at a quarter of the cost of numpy's
+    broadcast add.
+
+    On one OpenBLAS thread (Haswell kernel, 12-row groups) the blocks round
+    every p.c as the one-pass product ``P @ (2 C).T`` does, so labels and
+    distances stay bit-identical, when every block starts at a multiple of
+    48 rows and holds at least 480 rows and more than 1200 / k rows. Smaller
+    products (for m >= 60) and single rows take another BLAS path. Hence
+    ``_BLOCK`` is 960, since k = 2 needs 601 rows, and the last block takes
+    the remainder too, up to 2 ``_BLOCK`` - 1 rows. This was checked for k
+    in {1, 2, 3, 4, 10, 12, 300, 500, 1000} and m in {1, 10, 17, 60, 784}.
+    Blocks of 512 or 1024 rows differed where a block's last 4 rows meet
+    the column tail when k % 8 == 4. Threaded BLAS already rounds the
+    one-pass product differently from one thread.
     """
     n, k = P.shape[0], centers.shape[0]
     pn1 = np.column_stack((pn, np.ones(n)))
     cn1 = np.vstack((np.ones(k), _sq_norms(centers)))
-    g2 = P @ (2.0 * centers).T
+    c2t = (2.0 * centers).T
+    # blocks start at multiples of _BLOCK; the last also takes the remainder
+    bounds = [0, *range(_BLOCK, n - _BLOCK + 1, _BLOCK), n]
+    g2 = np.empty((n - bounds[-2], k))
     rows = max(1, _TILE // k)
     tile = np.empty((min(rows, n), k))
     labels = np.empty(n, dtype=np.intp)
     mind2 = np.empty(n)
-    for s in range(0, n, rows):
-        block = slice(s, s + rows)
-        d2 = np.matmul(pn1[block], cn1, out=tile[: min(rows, n - s)])
-        _sq_dists(d2, g2[block])
-        np.argmin(d2, axis=1, out=labels[block])
-        mind2[block] = d2[np.arange(d2.shape[0]), labels[block]]
+    for b, e in zip(bounds, bounds[1:]):
+        g2b = np.matmul(P[b:e], c2t, out=g2[: e - b])
+        for s in range(b, e, rows):
+            t = min(s + rows, e)
+            d2 = np.matmul(pn1[s:t], cn1, out=tile[: t - s])
+            _sq_dists(d2, g2b[s - b : t - b])
+            np.argmin(d2, axis=1, out=labels[s:t])
+            mind2[s:t] = d2[np.arange(t - s), labels[s:t]]
     return labels, mind2
 
 
@@ -129,12 +150,16 @@ def _means(P, labels, centers):
     """Mean of each cluster's rows; an empty cluster keeps its center.
 
     One one-hot sparse product sums every cluster, adding its members in
-    index order as ``P[labels == j].mean(axis=0)`` does.
+    index order as ``P[labels == j].mean(axis=0)`` does. The members are
+    ordered by a stable sort of the labels cast to the smallest integer type
+    that holds k - 1, which numpy radix-sorts (8- and 16-bit) to the same
+    permutation.
     """
     k, n = centers.shape[0], labels.size
     counts = np.bincount(labels, minlength=k)
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    onehot = sp.csr_matrix((np.ones(n), np.argsort(labels, kind="stable"), indptr), shape=(k, n))
+    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    onehot = sp.csr_matrix((np.ones(n), order, indptr), shape=(k, n))
     sums = onehot @ P
     means = centers.copy()
     full = counts > 0

@@ -29,9 +29,13 @@ class SvdFactors(NamedTuple):
 
 
 def check_finite(M, name="matrix"):
-    """Reject NaN/Inf entries up front; returns the array as float64."""
+    """Reject NaN/Inf entries up front; returns the array as float64.
+
+    NaN propagates through min and max and an infinity is one of them, so
+    the two reductions decide it without an n x m boolean temporary.
+    """
     M = np.asarray(M, dtype=np.float64)
-    if not np.all(np.isfinite(M)):
+    if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return M
 

@@ -100,7 +100,7 @@ def _loss(params, R, ridge):
 
 
 # about this many entries in each hidden x block array of net_forward
-_FORWARD_ENTRIES = 2**18
+_FORWARD_ENTRIES = 2**16
 
 
 def net_forward(params, X, activation="relu"):

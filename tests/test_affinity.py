@@ -178,6 +178,9 @@ class TestKernelMatrix:
             KernelSpec("polynomial", degree=0)
         with pytest.raises(ValueError):
             KernelSpec("sigmoid")
+        # klsr with a linear kernel is lsr, so there is no linear kind
+        with pytest.raises(ValueError):
+            KernelSpec("linear")
 
 
 class TestKlsr:

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import autospectral
 import autospectral.kmeans as kmeans_module
 from autospectral.kmeans import Partition, kmeans, kmeans_centers, lloyd_iterations
 from autospectral.metrics import clustering_accuracy
@@ -125,6 +132,19 @@ class TestCenters:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((2, 20))
         assert np.array_equal(kmeans_centers(X, 4, seed=11), kmeans_centers(X, 4, seed=11))
+
+    def test_memory_ceiling(self):
+        # the landmark workload's shape; one distance product over all 6000
+        # rows held 6000 x 300 entries and peaked at 18.0 MB
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((60, 6000))
+        tracemalloc.start()
+        try:
+            kmeans_centers(X, 300, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
 
     def test_one_run_from_the_first_spawned_stream(self):
         rng = np.random.default_rng(10)
@@ -253,3 +273,59 @@ def test_duplicates_case_repairs_empty_clusters():
     centers = _ref_kmeanspp(P, k, np.random.default_rng(0))
     counts = np.bincount(np.argmin(_ref_sq_dists(P, centers), axis=1), minlength=k)
     assert np.any(counts == 0)
+
+
+# _assign's blocked distance product against one product over all rows.
+# Bit identity is a property of one BLAS thread (threaded BLAS splits the
+# one-pass product by its size), so the comparison runs in a child pinned to
+# one thread.
+_ONE_PASS_CHECK = """
+import json, sys
+import numpy as np
+from autospectral.kmeans import _assign, _sq_norms
+out = []
+for n, k, m in json.loads(sys.argv[1]):
+    rng = np.random.default_rng([n, k, m])
+    P = rng.standard_normal((n, m))
+    C = rng.standard_normal((k, m))
+    pn = _sq_norms(P)
+    d2 = np.column_stack((pn, np.ones(n))) @ np.vstack((np.ones(k), _sq_norms(C)))
+    d2 -= P @ (2.0 * C).T
+    np.maximum(d2, 0.0, out=d2)
+    ref = np.argmin(d2, axis=1)
+    labels, mind2 = _assign(P, pn, C)
+    out.append([bool(np.array_equal(labels, ref)), bool(np.array_equal(mind2, d2[np.arange(n), ref]))])
+print(json.dumps(out))
+"""
+
+_B = kmeans_module._BLOCK
+# two full blocks and a ragged 120 rows; k = 4 and 300 hit the k % 8 == 4
+# column tail. A last block of 1 row, or of r rows with r * k <= 1200, would
+# take another BLAS path on its own, so it joins the block before.
+ONE_PASS_SHAPES = [(2 * _B + 120, k, m) for k in (4, 10, 300, 1000) for m in (10, 60)] + [
+    (2 * _B + 1, 10, 60),
+    (2 * _B + 600, 2, 60),
+    (3 * _B, 4, 60),
+]
+
+
+@pytest.fixture(scope="module")
+def one_pass_results():
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(autospectral.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    args = [sys.executable, "-c", _ONE_PASS_CHECK, json.dumps(ONE_PASS_SHAPES)]
+    out = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    return dict(zip(ONE_PASS_SHAPES, json.loads(out.stdout)))
+
+
+@pytest.mark.parametrize("shape", ONE_PASS_SHAPES, ids=lambda s: "n%d-k%d-m%d" % s)
+def test_blocked_assign_bit_identical_to_one_pass(shape, one_pass_results):
+    assert shape[0] > 2 * _B  # several blocks, the last one ragged or full
+    labels_equal, mind2_equal = one_pass_results[shape]
+    assert labels_equal
+    assert mind2_equal

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from autospectral import linalg
 from autospectral.errors import EigsolverError
-from autospectral.linalg import partial_sym_eigs, randomized_svd
+from autospectral.linalg import check_finite, partial_sym_eigs, randomized_svd
 from autospectral.spectra import laplacian_spectrum
 
 
@@ -18,6 +18,27 @@ def dense_sym_eigs(M, count):
     vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
     order = np.argsort(vals)[::-1][:count]
     return vals[order], vecs[:, order]
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        M = np.arange(12.0).reshape(3, 4)
+        M[2, 1] = bad
+        with pytest.raises(ValueError, match="M contains non-finite entries"):
+            check_finite(M, "M")
+
+    def test_nan_beside_an_infinity(self):
+        with pytest.raises(ValueError):
+            check_finite([[np.inf, np.nan, -np.inf]])
+
+    def test_empty_passes(self):
+        assert check_finite(np.empty((0, 5))).shape == (0, 5)
+
+    def test_finite_passes_as_float64(self):
+        M = check_finite([[1, -2], [3, 4]])
+        assert M.dtype == np.float64
+        assert np.array_equal(M, [[1.0, -2.0], [3.0, 4.0]])
 
 
 class TestRandomizedSvd:

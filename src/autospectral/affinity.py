@@ -99,46 +99,26 @@ class AffinityGraph:
         return sp.csr_matrix(self.dense)
 
 
-# Largest point count whose gaussian bandwidth is exact; above it the mean
-# pairwise distance is estimated from sampled pairs.
-BANDWIDTH_MAX_EXACT_N = 20000
-
 # float64 entries in one block of distances (8 MB), which bounds the memory
 # of gaussian_bandwidth to O(n * block) instead of O(n^2).
 _DISTANCE_BLOCK_ENTRIES = 1 << 20
 
 
-def gaussian_bandwidth(X, xi=1.0, max_exact_n=None, sample_pairs=1_000_000, seed=0):
+def gaussian_bandwidth(X, xi=1.0):
     """Bandwidth = xi * mean pairwise distance over all n^2 ordered pairs.
 
-    Beyond ``max_exact_n`` points (default ``BANDWIDTH_MAX_EXACT_N``) the
-    mean is estimated from uniformly sampled pairs instead of the exact n^2
-    sum. Either way distances are computed a block at a time, so memory
-    stays at a few blocks of ``_DISTANCE_BLOCK_ENTRIES`` entries.
-
-    Returns
-    -------
-    (sigma, estimated) : float, bool
+    Distances are computed a block of rows at a time, so memory stays at a
+    few blocks of ``_DISTANCE_BLOCK_ENTRIES`` entries.
     """
     X = check_finite(X, "X")
-    m, n = X.shape
+    n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two points")
-    if max_exact_n is None:
-        max_exact_n = BANDWIDTH_MAX_EXACT_N
     total = 0.0
-    if n <= max_exact_n:
-        rows = max(1, _DISTANCE_BLOCK_ENTRIES // n)
-        for r in range(0, n, rows):
-            total += np.sqrt(_pairwise_sq_dists(X[:, r : r + rows], X)).sum()
-        return xi * (total / (n * n)), False
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=sample_pairs)
-    j = rng.integers(0, n, size=sample_pairs)
-    chunk = max(1, _DISTANCE_BLOCK_ENTRIES // m)
-    for c in range(0, sample_pairs, chunk):
-        total += np.linalg.norm(X[:, i[c : c + chunk]] - X[:, j[c : c + chunk]], axis=0).sum()
-    return xi * float(total / sample_pairs), True
+    rows = max(1, _DISTANCE_BLOCK_ENTRIES // n)
+    for r in range(0, n, rows):
+        total += np.sqrt(_pairwise_sq_dists(X[:, r : r + rows], X)).sum()
+    return xi * (total / (n * n))
 
 
 def _pairwise_sq_dists(X, Y):
@@ -165,7 +145,7 @@ def kernel_matrix(X, spec):
     if spec.kind == "polynomial":
         K = (X.T @ X + spec.offset) ** spec.degree
     else:
-        sigma, _ = gaussian_bandwidth(X, spec.xi)
+        sigma = gaussian_bandwidth(X, spec.xi)
         if sigma <= 0.0:
             raise DegenerateDataError("gaussian bandwidth is zero: all points identical")
         K = np.exp(-_pairwise_sq_dists(X, X) / (2.0 * sigma**2))
@@ -337,6 +317,6 @@ def postprocess_affinity(C, tau):
     return AffinityGraph(A, degrees)
 
 
-def default_approx_rank(n, k, threshold=5000):
-    """Low-rank shortcut kicks in for large n; rank 20k works well in practice."""
-    return 20 * k if n > threshold else None
+def default_approx_rank(n, k):
+    """Low-rank shortcut kicks in above 5000 points; rank 20k works well in practice."""
+    return 20 * k if n > 5000 else None

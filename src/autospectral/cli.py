@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import affinity
 from .dataio import (
+    config_fields,
     load_csv,
     load_idx,
     load_labels_csv,
@@ -66,29 +66,10 @@ def build_parser():
     return p
 
 
-def _winner_entry(score):
-    cfg = score.config
-    kernel = cfg.kernel
-    return {
-        "model": cfg.model,
-        "lambda": float(cfg.lam) if cfg.model in ("lsr", "klsr") else None,
-        "kernel": kernel.kind if kernel else None,
-        "xi": float(kernel.xi) if kernel and kernel.kind == "gaussian" else None,
-        "offset": float(kernel.offset) if kernel and kernel.kind == "polynomial" else None,
-        "degree": int(kernel.degree) if kernel and kernel.kind == "polynomial" else None,
-        "tau": int(cfg.tau),
-        "reg": float(score.reg),
-    }
-
-
 def _candidate_entry(score):
-    cfg = score.config
-    return {
-        "model": cfg.model,
-        "lambda": float(cfg.lam) if cfg.model in ("lsr", "klsr") else None,
-        "tau": int(cfg.tau),
-        "reg": float(score.reg) if score.spectrum is not None else None,
-    }
+    fields = config_fields(score.config)
+    reg = float(score.reg) if score.spectrum is not None else None
+    return {"model": fields["model"], "lambda": fields["lambda"], "tau": fields["tau"], "reg": reg}
 
 
 def _mean_std(values):
@@ -98,17 +79,24 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std())
 
 
+# smallest accepted value of each integer flag; --threads 0 means all cores
+_FLAG_MINIMUMS = {
+    "k": 2, "repeats": 1, "landmarks": 0, "budget": 1, "epochs": 1, "batch": 1, "hidden": 1, "threads": 0,
+}
+
+
 def run_cli(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.k < 2:
-        print("error: --k must be at least 2", file=sys.stderr)
-        return 2
-    if args.repeats < 1 or args.seed is None:
-        print("error: --repeats must be >= 1", file=sys.stderr)
+    for name, minimum in _FLAG_MINIMUMS.items():
+        if getattr(args, name) < minimum:
+            print(f"error: --{name} must be at least {minimum}", file=sys.stderr)
+            return 2
+    if not args.eps > 0:
+        print("error: --eps must be positive", file=sys.stderr)
         return 2
     try:
         return _run(args)
@@ -147,9 +135,7 @@ def _load(args):
 
 def _run(args):
     X, truth = _load(args)
-    n = X.shape[1]
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    searched_n = args.landmarks if args.landmarks > 0 else n
     space = default_search_space()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,7 +179,7 @@ def _run(args):
             first_labels = partition.labels
         entry = {
             "seed": rep_seed,
-            "winner": _winner_entry(result.winner),
+            "winner": {**config_fields(result.winner.config), "reg": float(result.winner.reg)},
             "n_candidates": len(result.scores),
             "n_valid_candidates": sum(1 for s in result.scores if s.spectrum is not None),
             "candidates": [_candidate_entry(s) for s in result.scores],
@@ -208,7 +194,7 @@ def _run(args):
     acc_mean, acc_std = _mean_std([r["accuracy"] for r in repeats if r["accuracy"] is not None])
     nmi_mean, nmi_std = _mean_std([r["nmi"] for r in repeats if r["nmi"] is not None])
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": {
             "data": args.data,
             "format": args.format,
@@ -227,8 +213,6 @@ def _run(args):
             "threads": threads,
             "seed": args.seed,
             "repeats": args.repeats,
-            # the search sees the landmarks, not all n points, in landmark mode
-            "bandwidth_estimated": bool(searched_n > affinity.BANDWIDTH_MAX_EXACT_N),
         },
         "repeats": repeats,
         "aggregate": {

@@ -33,17 +33,6 @@ def load_csv(path, labels_last_column=False):
     return data[:, :-1].T, _integer_labels(data[:, -1], path)
 
 
-def save_csv(path, X, labels=None):
-    """Write points (columns of X) as CSV rows using shortest round-trip decimals."""
-    X = np.asarray(X)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(X.shape[1]):
-            fields = [repr(float(v)) for v in X[:, i]]
-            if labels is not None:
-                fields.append(str(int(labels[i])))
-            fh.write(",".join(fields) + "\n")
-
-
 def load_labels_csv(path):
     """One integer label per line."""
     data = _read_table(path, labels_last_column=True)
@@ -170,16 +159,27 @@ def report_json_bytes(report):
     return (json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
-def _kernel_fields(config):
+def config_fields(config):
+    """A candidate's model, lambda, kernel, xi, offset, degree and tau, in
+    that order, with None where its model or kernel has no such field."""
     k = config.kernel
-    if k is None:
-        return {"kernel": "", "xi": "", "offset": "", "degree": ""}
+    kind = k.kind if k is not None else None
     return {
-        "kernel": k.kind,
-        "xi": repr(k.xi) if k.kind == "gaussian" else "",
-        "offset": repr(k.offset) if k.kind == "polynomial" else "",
-        "degree": str(k.degree) if k.kind == "polynomial" else "",
+        "model": config.model,
+        "lambda": float(config.lam) if config.model in ("lsr", "klsr") else None,
+        "kernel": kind,
+        "xi": float(k.xi) if kind == "gaussian" else None,
+        "offset": float(k.offset) if kind == "polynomial" else None,
+        "degree": int(k.degree) if kind == "polynomial" else None,
+        "tau": int(config.tau),
     }
+
+
+def _csv_cell(value):
+    """A CSV cell: empty for None, a string as it is, a number's repr."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
 
 
 def write_candidates_csv(path, per_repeat_scores, k):
@@ -194,18 +194,7 @@ def write_candidates_csv(path, per_repeat_scores, k):
         writer.writerow(header)
         for rep, scores in enumerate(per_repeat_scores):
             for s in scores:
-                kf = _kernel_fields(s.config)
-                lam = repr(s.config.lam) if s.config.model in ("lsr", "klsr") else ""
-                row = [
-                    str(rep),
-                    s.config.model,
-                    lam,
-                    kf["kernel"],
-                    kf["xi"],
-                    kf["offset"],
-                    kf["degree"],
-                    str(s.config.tau),
-                ]
+                row = [str(rep)] + [_csv_cell(v) for v in config_fields(s.config).values()]
                 if s.spectrum is None:
                     row += ["-inf"] + [""] * (k + 1) + [s.degenerate_reason or ""]
                 else:

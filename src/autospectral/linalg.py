@@ -40,11 +40,11 @@ def check_finite(M, name="matrix"):
     return M
 
 
-def randomized_svd(M, rank, oversample=10, power_iters=2, seed=0):
-    """Rank-``rank`` randomized SVD of a dense (or sparse) matrix.
+def randomized_svd(M, rank, oversample=10, seed=0):
+    """Rank-``rank`` randomized SVD of a dense matrix.
 
-    Gaussian test matrix, QR range finder, ``power_iters`` power iterations
-    with re-orthonormalization between products. Deterministic given ``seed``.
+    Gaussian test matrix, QR range finder, two power iterations with
+    re-orthonormalization between products. Deterministic given ``seed``.
 
     Parameters
     ----------
@@ -54,8 +54,6 @@ def randomized_svd(M, rank, oversample=10, power_iters=2, seed=0):
         ``rank + oversample <= min(m, n)``.
     oversample : int
         Extra columns carried by the range finder.
-    power_iters : int
-        Power iterations; improves accuracy for slowly decaying spectra.
     seed : int
 
     Returns
@@ -63,14 +61,12 @@ def randomized_svd(M, rank, oversample=10, power_iters=2, seed=0):
     SvdFactors
         ``U`` (m, rank), ``s`` (rank,) descending, ``V`` (n, rank).
     """
-    dense = not sp.issparse(M)
-    if dense:
-        M = check_finite(M, "M")
+    M = check_finite(M, "M")
     m, n = M.shape
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if oversample < 0 or power_iters < 0:
-        raise ValueError("oversample and power_iters must be >= 0")
+    if oversample < 0:
+        raise ValueError("oversample must be >= 0")
     ell = rank + oversample
     if ell > min(m, n):
         raise ValueError(f"rank + oversample = {ell} exceeds min(m, n) = {min(m, n)}")
@@ -78,11 +74,11 @@ def randomized_svd(M, rank, oversample=10, power_iters=2, seed=0):
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, ell))
     Q, _ = np.linalg.qr(M @ omega)
-    for _ in range(power_iters):
+    for _ in range(2):
         Q, _ = np.linalg.qr(M.T @ Q)
         Q, _ = np.linalg.qr(M @ Q)
     B = Q.T @ M
-    Ub, s, Vt = np.linalg.svd(np.asarray(B), full_matrices=False)
+    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     U = Q @ Ub[:, :rank]
     return SvdFactors(U, s[:rank], Vt[:rank].T)
 

@@ -21,6 +21,9 @@ from .search import bo_search, grid_search
 
 ACTIVATIONS = ("relu", "tanh")
 
+# Adam's moment decay rates and denominator constant (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class MLPParams:
@@ -48,9 +51,6 @@ class NetConfig:
     epochs: int = 200
     batch_size: int = 128
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     activation: str = "relu"
     seed: int = 0
 
@@ -173,7 +173,6 @@ def net_train(X, Z, config):
     )
     mom = Blocks(*(np.zeros_like(w) for w in weights))
     vel = Blocks(*(np.zeros_like(w) for w in weights))
-    beta1, beta2 = config.beta1, config.beta2
     t = 0
 
     def full_loss(p):
@@ -194,13 +193,13 @@ def net_train(X, Z, config):
             t += 1
             with np.errstate(over="ignore", invalid="ignore"):
                 for w, mo, ve, g in zip(weights, mom, vel, grads):
-                    mo *= beta1
-                    mo += (1.0 - beta1) * g
-                    ve *= beta2
-                    ve += ((1.0 - beta2) * g) * g
-                    mhat = mo / (1.0 - beta1**t)
-                    vhat = ve / (1.0 - beta2**t)
-                    w -= config.lr * mhat / (np.sqrt(vhat) + config.eps_adam)
+                    mo *= ADAM_BETA1
+                    mo += (1.0 - ADAM_BETA1) * g
+                    ve *= ADAM_BETA2
+                    ve += ((1.0 - ADAM_BETA2) * g) * g
+                    mhat = mo / (1.0 - ADAM_BETA1**t)
+                    vhat = ve / (1.0 - ADAM_BETA2**t)
+                    w -= config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         try:
             params = MLPParams(*(w.copy() for w in weights))
         except ValueError as exc:

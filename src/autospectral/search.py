@@ -62,8 +62,6 @@ class SearchSpace:
     taus: tuple[int, ...] = tuple(range(5, 16))
     lambda_bounds: tuple[float, float] = (1e-3, 1.0)
     tau_bounds: tuple[int, int] = (5, 50)
-    offset_bounds: tuple[float, float] = (0.0, 1e3)
-    degree_bounds: tuple[int, int] = (1, 5)
     xi_bounds: tuple[float, float] = (0.5, 5.0)
 
     def __post_init__(self):
@@ -73,13 +71,7 @@ class SearchSpace:
             raise ValueError("grids must be nonempty")
         if any(l <= 0 for l in self.lambdas) or any(t < 1 for t in self.taus):
             raise ValueError("invalid grid values")
-        for lo, hi in (
-            self.lambda_bounds,
-            self.tau_bounds,
-            self.offset_bounds,
-            self.degree_bounds,
-            self.xi_bounds,
-        ):
+        for lo, hi in (self.lambda_bounds, self.tau_bounds, self.xi_bounds):
             if lo > hi:
                 raise ValueError("bounds must satisfy min <= max")
 
@@ -239,30 +231,6 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_re
 # Gaussian-process surrogate
 
 
-@dataclass(frozen=True)
-class GPState:
-    """Observations plus Matern-5/2 ARD kernel hyperparameters."""
-
-    S: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    amplitude: float = 1.0
-    lengthscales: np.ndarray = field(default=None, repr=False)
-    jitter: float = 1e-8
-    prior_mean: float = 0.0
-
-    def __post_init__(self):
-        S = np.atleast_2d(np.asarray(self.S, dtype=np.float64))
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
-        ls = self.lengthscales
-        ls = np.ones(S.shape[1]) if ls is None else np.asarray(ls, dtype=np.float64)
-        object.__setattr__(self, "lengthscales", ls)
-        if self.amplitude <= 0 or np.any(ls <= 0) or self.jitter <= 0:
-            raise ValueError("amplitude, lengthscales, jitter must be positive")
-        if len(self.y) != S.shape[0] or len(ls) != S.shape[1]:
-            raise ValueError("inconsistent observation shapes")
-
-
 def _matern_cross(A, B, amplitude, lengthscales):
     ls = np.asarray(lengthscales, dtype=np.float64)
     diff = (A[:, None, :] - B[None, :, :]) / ls
@@ -272,17 +240,25 @@ def _matern_cross(A, B, amplitude, lengthscales):
 
 
 class _Posterior:
-    """Factored GP posterior supporting batched queries."""
+    """Factored Matern-5/2 ARD GP posterior for batched queries. The Gram
+    matrix of the observations (rows of S) takes a diagonal jitter of 1e-8,
+    ten times more after each failed factorization: NumericalError once 1e-2
+    fails too."""
 
-    def __init__(self, state):
-        self.state = state
-        K = _matern_cross(state.S, state.S, state.amplitude, state.lengthscales)
-        K.flat[:: K.shape[0] + 1] += state.jitter
-        try:
-            self.chol = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"GP Gram factorization failed: {exc}") from exc
-        self.alpha = scipy.linalg.cho_solve(self.chol, state.y - state.prior_mean, check_finite=False)
+    def __init__(self, S, y, amplitude, lengthscales, prior_mean):
+        self.S, self.amplitude, self.lengthscales, self.prior_mean = S, amplitude, lengthscales, prior_mean
+        jitter = 1e-8
+        while True:
+            K = _matern_cross(S, S, amplitude, lengthscales)
+            K.flat[:: K.shape[0] + 1] += jitter
+            try:
+                self.chol = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
+                break
+            except np.linalg.LinAlgError as exc:
+                if jitter >= 1e-2:
+                    raise NumericalError(f"GP Gram factorization failed: {exc}") from exc
+                jitter *= 10.0
+        self.alpha = scipy.linalg.cho_solve(self.chol, y - prior_mean, check_finite=False)
 
     def predict(self, Q, blocks=1):
         """Posterior mean and variance at the rows of Q.
@@ -293,15 +269,14 @@ class _Posterior:
         kernel, the solve and the variance are the same for any stacking, so
         every block gets what predicting it alone would give, bit for bit.
         """
-        st = self.state
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-        kstar = _matern_cross(st.S, Q, st.amplitude, st.lengthscales)
+        kstar = _matern_cross(self.S, Q, self.amplitude, self.lengthscales)
         size = len(Q) // blocks
-        mu = st.prior_mean + np.concatenate(
+        mu = self.prior_mean + np.concatenate(
             [kstar[:, lo : lo + size].T @ self.alpha for lo in range(0, len(Q), size)]
         )
         w = scipy.linalg.cho_solve(self.chol, kstar, check_finite=False)
-        var = np.maximum(st.amplitude - np.einsum("ij,ij->j", kstar, w), 0.0)
+        var = np.maximum(self.amplitude - np.einsum("ij,ij->j", kstar, w), 0.0)
         return mu, var
 
 
@@ -392,16 +367,16 @@ _LML_BUDGET = 2**15
 _MAX_STARTS = 16
 
 
-def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, sweeps=2, init=None):
+def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
     """Maximize the log marginal likelihood over (amplitude, length scales).
 
     Multi-start coordinate search: the starts are the first ``n_starts`` of
     16 fixed scrambled low-discrepancy points over log-scaled bounds
     [1e-3, 1e3] relative to the data scales. ``init=(amplitude,
     lengthscales)``, clipped to those bounds, replaces the last start: a
-    warm start from an earlier optimum. Each length scale then moves on a
-    multiplicative grid while the amplitude step uses its exact
-    per-configuration optimum, clipped to the same bounds. The likelihood
+    warm start from an earlier optimum. In each of two sweeps, each length
+    scale moves on a multiplicative grid while the amplitude step uses its
+    exact per-configuration optimum, clipped to the same bounds. The likelihood
     is Rasmussen & Williams' Cholesky form (Alg. 2.1): one Cholesky factor
     of the Gram matrix K bordered by the centred targets r gives both
     log det K and r'K^-1 r, with no separate solve. The starts advance in
@@ -492,7 +467,7 @@ def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, sweeps=2, init=None):
     factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
     per = max(1, _LML_BUDGET // (len(factors) * n1 * n1))
     active = np.arange(n_starts)
-    for _ in range(sweeps):
+    for _ in range(2):
         moved = np.zeros(n_starts, dtype=bool)
         for j in range(d):
             for lo in range(0, len(active), per):
@@ -537,11 +512,7 @@ def bo_dimensions(model, space):
     if model.uses_lambda:
         dims.append(("lam", *space.lambda_bounds, False))
     if model.kernel is not None:
-        if model.kernel.kind == "gaussian":
-            dims.append(("xi", *space.xi_bounds, False))
-        elif model.kernel.kind == "polynomial":
-            dims.append(("offset", *space.offset_bounds, False))
-            dims.append(("degree", *space.degree_bounds, True))
+        dims.append(("xi", *space.xi_bounds, False))
     dims.append(("tau", *space.tau_bounds, True))
     return dims
 
@@ -551,31 +522,11 @@ def _config_from_values(model, dims, values, n, approx):
     for (name, lo, hi, is_int), v in zip(dims, values):
         v = min(max(v, lo), hi)
         named[name] = int(round(v)) if is_int else float(v)
-    kernel = model.kernel
-    if kernel is not None:
-        if kernel.kind == "gaussian":
-            kernel = replace(kernel, xi=named["xi"])
-        elif kernel.kind == "polynomial":
-            kernel = replace(kernel, offset=named["offset"], degree=named["degree"])
+    kernel = replace(model.kernel, xi=named["xi"]) if model.kernel is not None else None
     tau = min(named["tau"], n - 1)
     return CandidateConfig(
         model=model.name, tau=tau, lam=named.get("lam", 1.0), kernel=kernel, approx_rank=approx
     )
-
-
-def _posterior_with_jitter(S, y, amplitude, lengthscales, prior_mean):
-    jitter = 1e-8
-    while True:
-        try:
-            state = GPState(
-                S=S, y=y, amplitude=amplitude, lengthscales=lengthscales,
-                jitter=jitter, prior_mean=prior_mean,
-            )
-            return _Posterior(state)
-        except NumericalError:
-            if jitter >= 1e-2:
-                raise
-            jitter *= 10.0
 
 
 def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
@@ -674,7 +625,7 @@ def _bo_one_model(X, k, model, space, budget_per_model, init_design, child, seed
         else:
             fitted = fit_gp_hyperparams(S, yv, n_starts=_WARM_STARTS, init=fitted)
         amplitude, lengthscales = fitted
-        post = _posterior_with_jitter(S, yv, amplitude, lengthscales, float(np.mean(yv)))
+        post = _Posterior(S, yv, amplitude, lengthscales, float(np.mean(yv)))
         u_next = _maximize_ei(post, float(np.min(yv)), sobol)
         evaluate(u_next)
     return scores
@@ -697,7 +648,8 @@ def bo_search(
     Each model runs independently: a scrambled low-discrepancy initial design
     of ``init_design`` points, then fit-GP / maximize-EI / evaluate cycles up
     to ``budget_per_model`` evaluations. Integer hyperparameters relax to
-    continuous values and round at evaluation time. The per-model loops are
+    continuous values and round at evaluation time. Kernels must be gaussian,
+    whose only tuned parameter is ``xi``. The per-model loops are
     self-contained, so ``threads > 1`` runs them concurrently without
     changing any result. Deterministic given seed.
     """
@@ -709,6 +661,12 @@ def bo_search(
         )
     if budget_per_model < init_design:
         raise ValueError("budget_per_model must cover the initial design")
+    if any(m.kernel is not None and m.kernel.kind == "polynomial" for m in space.models):
+        raise ValueError(
+            "BO searches gaussian kernels only: a polynomial kernel with offset up to 1e3 and "
+            "degree up to 5 reaches entries near 1e15, where lambda no longer regularises; "
+            "grid search takes it at a fixed offset and degree"
+        )
     X = _checked_points(X, k)
     n = X.shape[1]
     approx = default_approx_rank(n, k)

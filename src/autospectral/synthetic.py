@@ -61,11 +61,3 @@ def random_poly_curves(k, ambient_dim, degree, per_cluster, noise_std=0.0, seed=
     labels = np.repeat(np.arange(1, k + 1), per_cluster)
     return X, labels
 
-
-def generate_synthetic(kind, params, seed=0):
-    """Dispatch on kind: 'subspaces' or 'poly_manifolds'."""
-    if kind == "subspaces":
-        return random_subspaces(seed=seed, **params)
-    if kind == "poly_manifolds":
-        return random_poly_curves(seed=seed, **params)
-    raise ValueError(f"unknown synthetic kind {kind!r}")

@@ -67,6 +67,17 @@ def sparse_laplacian_spectrum(graph, k, seed=0):
     return LaplacianSpectrum(k=k, sigmas=np.clip(1.0 - rho, 0.0, 2.0), vectors=vecs[:, :k])
 
 
+def save_csv(path, X, labels=None):
+    """Write points (columns of X) as CSV rows using shortest round-trip decimals."""
+    X = np.asarray(X)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(X.shape[1]):
+            fields = [repr(float(v)) for v in X[:, i]]
+            if labels is not None:
+                fields.append(str(int(labels[i])))
+            fh.write(",".join(fields) + "\n")
+
+
 def solve_pd(A, B):
     """Oracle: LAPACK's positive definite solve of A Y = B."""
     return scipy.linalg.solve(A, B, assume_a="pos")

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import block_affinity, graph_from_dense, random_affinity, solve_pd
+from conftest import block_affinity, graph_from_dense, random_affinity, save_csv, solve_pd
 from autospectral.affinity import KernelSpec, kernel_matrix, lsr_coefficients
 from autospectral.cli import run_cli
-from autospectral.dataio import load_idx, save_csv
+from autospectral.dataio import load_idx
 from autospectral.kmeans import Partition, kmeans
 from autospectral.metrics import clustering_accuracy, mncut, nmi, partition_distance
 from autospectral.netembed import NetConfig, landmark_cluster, net_loss_and_grad

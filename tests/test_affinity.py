@@ -87,14 +87,6 @@ def unblocked_exact_bandwidth(X, xi):
     return xi * (np.sqrt(affinity._pairwise_sq_dists(X, X)).sum() / (n * n))
 
 
-def unblocked_sampled_bandwidth(X, xi, sample_pairs, seed):
-    """Reference: all sampled pairs gathered at once, same draws."""
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, X.shape[1], size=sample_pairs)
-    j = rng.integers(0, X.shape[1], size=sample_pairs)
-    return xi * float(np.linalg.norm(X[:, i] - X[:, j], axis=0).mean())
-
-
 def traced_peak_mb(fn):
     tracemalloc.start()
     try:
@@ -107,35 +99,21 @@ def traced_peak_mb(fn):
 class TestGaussianBandwidth:
     def test_one_block_is_bit_identical_to_unblocked(self):
         X = np.random.default_rng(0).standard_normal((60, 300))
-        assert gaussian_bandwidth(X, xi=1.7) == (unblocked_exact_bandwidth(X, 1.7), False)
+        assert gaussian_bandwidth(X, xi=1.7) == unblocked_exact_bandwidth(X, 1.7)
 
     def test_several_blocks_match_unblocked(self, monkeypatch):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((6, 50))
         # 7 rows per block: 8 blocks, the last one partial
         monkeypatch.setattr(affinity, "_DISTANCE_BLOCK_ENTRIES", 7 * 50)
-        sigma, estimated = gaussian_bandwidth(X, xi=1.3)
-        assert not estimated
+        sigma = gaussian_bandwidth(X, xi=1.3)
         assert sigma == pytest.approx(unblocked_exact_bandwidth(X, 1.3), rel=1e-12, abs=0)
-        # 64 pairs per chunk: 16 chunks, the last one partial
-        monkeypatch.setattr(affinity, "_DISTANCE_BLOCK_ENTRIES", 6 * 64)
-        sigma, estimated = gaussian_bandwidth(X, xi=0.9, max_exact_n=10, sample_pairs=1000, seed=4)
-        assert estimated
-        expected = unblocked_sampled_bandwidth(X, 0.9, 1000, seed=4)
-        assert sigma == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_exact_path_memory_ceiling(self):
         # n=3000: one dense distance matrix is 72 MB, the unblocked sum
         # peaked at 216 MB; the blocked one stays within five 8-MB blocks
         X = np.random.default_rng(2).standard_normal((5, 3000))
         assert traced_peak_mb(lambda: gaussian_bandwidth(X)) < 40.0
-
-    def test_sampled_path_memory_ceiling(self):
-        # 50 000 pairs in 256 dimensions: gathering them at once peaked at
-        # 308 MB; in chunks the peak stays within five 8-MB blocks
-        X = np.random.default_rng(3).standard_normal((256, 2000))
-        peak = traced_peak_mb(lambda: gaussian_bandwidth(X, max_exact_n=1000, sample_pairs=50_000))
-        assert peak < 40.0
 
 
 class TestKernelMatrix:
@@ -150,11 +128,11 @@ class TestKernelMatrix:
         # two points at distance sqrt(2)*sigma: entry exp(-1)
         X = np.array([[0.0, 2.0]])
         # mean pairwise distance over ordered pairs = (0+2+2+0)/4 = 1 -> sigma=1
-        sigma, est = gaussian_bandwidth(X, xi=1.0)
-        assert sigma == pytest.approx(1.0) and not est
+        sigma = gaussian_bandwidth(X, xi=1.0)
+        assert sigma == pytest.approx(1.0)
         X2 = np.array([[0.0, math.sqrt(2.0) * sigma]])
         spec = KernelSpec("gaussian", xi=1.0)
-        sigma2, _ = gaussian_bandwidth(X2, xi=1.0)
+        sigma2 = gaussian_bandwidth(X2, xi=1.0)
         K = np.exp(-((X2[:, 0] - X2[:, 1]) ** 2).sum() / (2 * sigma2**2))
         # direct construction with our own bandwidth formula agrees
         full = kernel_matrix(X2, spec)

@@ -6,10 +6,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from autospectral import affinity, search
+from autospectral import search
 from autospectral.cli import build_parser, run_cli
-from autospectral.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, save_csv
+from autospectral.dataio import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from autospectral.synthetic import random_subspaces
+from conftest import save_csv
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "autospectral" / "report_schema.json").read_text()
@@ -55,7 +56,12 @@ class TestSmoke:
         assert all(line in ("1", "2") for line in labels)
         report = json.loads((out / "report.json").read_text())
         jsonschema.validate(report, SCHEMA)
+        assert report["schema_version"] == 2
         assert report["repeats"][0]["n_candidates"] == 77  # 3x11 + 3x11 + 11
+        # a key the schema does not name fails, such as version 1's bandwidth_estimated
+        stale = {**report, "config": {**report["config"], "bandwidth_estimated": False}}
+        with pytest.raises(jsonschema.ValidationError, match="bandwidth_estimated"):
+            jsonschema.validate(stale, SCHEMA)
         candidates = (out / "candidates.csv").read_text().strip().splitlines()
         assert len(candidates) == 78  # header + one row per candidate
         assert (out / "timings.json").exists()
@@ -111,6 +117,28 @@ class TestUsageErrors:
     def test_k_one_rejected(self, subspace_csv, tmp_path):
         plain, _, _ = subspace_csv
         assert run_cli(base_args(plain, tmp_path / "x", **{"--k": "1"})) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--repeats", "0"),
+            ("--landmarks", "-5"),
+            ("--budget", "0"),
+            ("--epochs", "0"),
+            ("--batch", "0"),
+            ("--hidden", "0"),
+            ("--threads", "-3"),
+            ("--eps", "0"),
+            ("--eps", "-1e-6"),
+            ("--eps", "nan"),
+        ],
+    )
+    def test_out_of_range_flag_rejected_before_any_work(self, subspace_csv, tmp_path, capsys, flag, value):
+        plain, _, _ = subspace_csv
+        out = tmp_path / "x"
+        assert run_cli(base_args(plain, out, **{flag: value})) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag(self, subspace_csv, tmp_path, capsys):
         plain, _, _ = subspace_csv
@@ -201,33 +229,6 @@ class TestLandmarkPath:
         assert report["aggregate"]["accuracy_mean"] >= 0.9
         labels_out = (out / "labels.csv").read_text().strip().splitlines()
         assert len(labels_out) == 300
-
-
-class TestBandwidthFlag:
-    """bandwidth_estimated follows the point count the search ran on."""
-
-    def _flag(self, tmp_path, X, **extra):
-        data = tmp_path / "data.csv"
-        save_csv(data, X)
-        out = tmp_path / "run"
-        assert run_cli(base_args(data, out, **extra)) == 0
-        return json.loads((out / "report.json").read_text())["config"]["bandwidth_estimated"]
-
-    def test_landmark_search_counts_landmarks(self, tmp_path, monkeypatch):
-        # 300 points exceed the ceiling, the 60 landmarks searched do not
-        monkeypatch.setattr(affinity, "BANDWIDTH_MAX_EXACT_N", 100)
-        X, _ = random_subspaces(
-            k=2, ambient_dim=12, intrinsic_dim=2, per_cluster=150, noise_std=0.01, seed=3
-        )
-        flags = {"--landmarks": "60", "--epochs": "5", "--batch": "8", "--hidden": "20"}
-        assert self._flag(tmp_path, X, **flags) is False
-
-    def test_full_search_counts_all_points(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(affinity, "BANDWIDTH_MAX_EXACT_N", 39)
-        X, _ = random_subspaces(
-            k=2, ambient_dim=2, intrinsic_dim=1, per_cluster=20, noise_std=0.01, seed=4
-        )
-        assert self._flag(tmp_path, X) is True
 
 
 def test_threads_default_is_serial():

@@ -16,13 +16,13 @@ from autospectral.dataio import (
     load_csv,
     load_idx,
     load_labels_csv,
-    save_csv,
     save_labels,
     write_candidates_csv,
 )
 from autospectral.affinity import CandidateConfig, KernelSpec
 from autospectral.errors import DataFormatError
-from autospectral.search import evaluate_candidate
+from autospectral.search import CandidateScore, evaluate_candidate
+from conftest import save_csv
 
 
 class TestCsv:
@@ -246,6 +246,28 @@ class TestCandidatesCsv:
         assert rows[0][header.index("reg")] == "-inf"
         assert rows[1][-1] == "" and rows[1][header.index("reg")] == repr(valid.reg)
         assert rows[2][-1] == 'bad, "odd" graph'
+
+    def test_hyperparameter_cells_per_model(self, tmp_path):
+        configs = [
+            CandidateConfig("lsr", tau=5, lam=0.25),
+            CandidateConfig("klsr", tau=6, lam=0.1, kernel=KernelSpec("gaussian", xi=1.5)),
+            CandidateConfig(
+                "klsr", tau=7, lam=1e-3, kernel=KernelSpec("polynomial", offset=2.5, degree=3)
+            ),
+            CandidateConfig("kernel_direct", tau=8, kernel=KernelSpec("gaussian", xi=0.7)),
+        ]
+        scores = [CandidateScore(config=c, reg=float("-inf"), degenerate_reason="x") for c in configs]
+        path = tmp_path / "candidates.csv"
+        write_candidates_csv(path, [scores], k=2)
+        header, *rows = list(csv.reader(path.open(newline="")))
+        columns = ["model", "lambda", "kernel", "xi", "offset", "degree", "tau"]
+        cells = [[row[header.index(c)] for c in columns] for row in rows]
+        assert cells == [
+            ["lsr", "0.25", "", "", "", "", "5"],
+            ["klsr", "0.1", "gaussian", "1.5", "", "", "6"],
+            ["klsr", "0.001", "polynomial", "", "2.5", "3", "7"],
+            ["kernel_direct", "", "gaussian", "0.7", "", "", "8"],
+        ]
 
 
 def idx_label_bytes(labels):

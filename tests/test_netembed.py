@@ -7,6 +7,9 @@ from autospectral.errors import TrainingDivergedError
 from autospectral.kmeans import Partition, kmeans
 from autospectral.metrics import clustering_accuracy
 from autospectral.netembed import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     MLPParams,
     NetConfig,
     _embed,
@@ -225,11 +228,11 @@ def reference_train(X, Z, config):
             with np.errstate(over="ignore", invalid="ignore"):
                 for n in names:
                     g = getattr(grads, n)
-                    mom[n] = config.beta1 * mom[n] + (1.0 - config.beta1) * g
-                    vel[n] = config.beta2 * vel[n] + (1.0 - config.beta2) * g * g
-                    mhat = mom[n] / (1.0 - config.beta1**t)
-                    vhat = vel[n] / (1.0 - config.beta2**t)
-                    updated[n] = getattr(params, n) - config.lr * mhat / (np.sqrt(vhat) + config.eps_adam)
+                    mom[n] = ADAM_BETA1 * mom[n] + (1.0 - ADAM_BETA1) * g
+                    vel[n] = ADAM_BETA2 * vel[n] + (1.0 - ADAM_BETA2) * g * g
+                    mhat = mom[n] / (1.0 - ADAM_BETA1**t)
+                    vhat = vel[n] / (1.0 - ADAM_BETA2**t)
+                    updated[n] = getattr(params, n) - config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             try:
                 params = MLPParams(**updated)
             except ValueError:

@@ -14,11 +14,10 @@ from scipy.stats import spearmanr
 import autospectral
 from autospectral import linalg, search
 from autospectral.affinity import CandidateConfig, KernelSpec, build_coefficients, postprocess_affinity
-from autospectral.errors import SearchFailedError
+from autospectral.errors import NumericalError, SearchFailedError
 from autospectral.kmeans import Partition
 from autospectral.metrics import clustering_accuracy
 from autospectral.search import (
-    GPState,
     ModelSpec,
     SearchSpace,
     bo_dimensions,
@@ -64,8 +63,8 @@ class TestGpPosterior:
         rng = np.random.default_rng(1)
         S = rng.random((6, 2))
         y = rng.standard_normal(6)
-        state = GPState(S=S, y=y, amplitude=1.0, lengthscales=np.array([0.5, 0.5]))
-        mu, var = _Posterior(state).predict(S)
+        post = _Posterior(S, y, amplitude=1.0, lengthscales=np.array([0.5, 0.5]), prior_mean=0.0)
+        mu, var = post.predict(S)
         np.testing.assert_allclose(mu, y, rtol=0, atol=1e-4)
         assert np.all(var <= 1e-4)
 
@@ -74,10 +73,8 @@ class TestGpPosterior:
         S[1] = [0.1, 0.0]
         S[2] = [0.0, 0.1]
         y = np.array([1.0, 2.0, 3.0])
-        state = GPState(
-            S=S, y=y, amplitude=1.7, lengthscales=np.array([0.1, 0.1]), prior_mean=float(y.mean())
-        )
-        mu, var = _Posterior(state).predict(np.array([[50.0, 50.0]]))
+        post = _Posterior(S, y, amplitude=1.7, lengthscales=np.array([0.1, 0.1]), prior_mean=float(y.mean()))
+        mu, var = post.predict(np.array([[50.0, 50.0]]))
         assert mu[0] == pytest.approx(y.mean(), abs=1e-3)
         assert var[0] == pytest.approx(1.7, abs=1e-3)
 
@@ -86,16 +83,30 @@ class TestGpPosterior:
         y = np.array([0.2, -0.4, 0.9])
         amp, ls, jitter = 1.2, np.array([0.7]), 1e-8
         mean = float(y.mean())
-        state = GPState(S=S, y=y, amplitude=amp, lengthscales=ls, jitter=jitter, prior_mean=mean)
         Q = np.array([[0.8], [-0.3], [2.0]])
         K = _matern_cross(S, S, amp, ls) + jitter * np.eye(3)
         kstar = _matern_cross(S, Q, amp, ls)
         Kinv = np.linalg.inv(K)
         mu_o = mean + kstar.T @ Kinv @ (y - mean)
         var_o = amp - np.einsum("iq,ij,jq->q", kstar, Kinv, kstar)
-        mu, var = _Posterior(state).predict(Q)
+        mu, var = _Posterior(S, y, amp, ls, mean).predict(Q)
         np.testing.assert_allclose(mu, mu_o, rtol=0, atol=1e-10)
         np.testing.assert_allclose(var, var_o, rtol=0, atol=1e-10)
+
+    def test_jitter_grows_tenfold_until_the_gram_factors(self, monkeypatch):
+        # eigenvalue -5e-6: jitters 1e-8, 1e-7 and 1e-6 fail, 1e-5 factors
+        V, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+        G = (V * [1.0, 0.5, 0.2, -5e-6]) @ V.T
+        monkeypatch.setattr(search, "_matern_cross", lambda *args: G.copy())
+        S, y = np.zeros((4, 1)), np.zeros(4)
+        post = _Posterior(S, y, 1.0, np.ones(1), 0.0)
+        jitter = 1e-8 * 10.0 * 10.0 * 10.0
+        want = scipy.linalg.cho_factor(G + jitter * np.eye(4), lower=True)[0]
+        assert np.array_equal(np.tril(post.chol[0]), np.tril(want))
+        # eigenvalue -0.1 fails at every jitter up to 1e-2
+        monkeypatch.setattr(search, "_matern_cross", lambda *args: (V * [1.0, 0.5, 0.2, -0.1]) @ V.T)
+        with pytest.raises(NumericalError, match="GP Gram factorization failed"):
+            _Posterior(S, y, 1.0, np.ones(1), 0.0)
 
 
 def ei(mu, sigma, g_min):
@@ -232,11 +243,10 @@ def reference_fit(S, y, n_starts=16, sweeps=2, init=None):
 
 def reference_predict(post, Q):
     """Posterior mean and variance at the rows of Q from one kernel product."""
-    st = post.state
-    kstar = _matern_cross(st.S, Q, st.amplitude, st.lengthscales)
-    mu = st.prior_mean + kstar.T @ post.alpha
+    kstar = _matern_cross(post.S, Q, post.amplitude, post.lengthscales)
+    mu = post.prior_mean + kstar.T @ post.alpha
     w = scipy.linalg.cho_solve(post.chol, kstar, check_finite=False)
-    return mu, np.maximum(st.amplitude - np.einsum("ij,ij->j", kstar, w), 0.0)
+    return mu, np.maximum(post.amplitude - np.einsum("ij,ij->j", kstar, w), 0.0)
 
 
 def reference_maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4, rounds=None):
@@ -556,7 +566,7 @@ def fitted_posteriors():
     out = []
     for S, y, kwargs in bo_fits():
         amp, ls = fit_gp_hyperparams(S, y, **kwargs)
-        post = search._posterior_with_jitter(S, y, amp, ls, float(np.mean(y)))
+        post = _Posterior(S, y, amp, ls, float(np.mean(y)))
         out.append((post, float(np.min(y)), S.shape[1]))
     return out
 
@@ -964,10 +974,20 @@ class TestBoSearch:
         space = default_search_space()
         lsr_dims = [d[0] for d in bo_dimensions(ModelSpec("lsr"), space)]
         assert lsr_dims == ["lam", "tau"]
-        poly = ModelSpec("klsr", KernelSpec("polynomial", offset=1.0, degree=2))
-        assert [d[0] for d in bo_dimensions(poly, space)] == ["lam", "offset", "degree", "tau"]
+        gaussian = ModelSpec("klsr", KernelSpec("gaussian"))
+        assert [d[0] for d in bo_dimensions(gaussian, space)] == ["lam", "xi", "tau"]
         direct = ModelSpec("kernel_direct", KernelSpec("gaussian"))
         assert [d[0] for d in bo_dimensions(direct, space)] == ["xi", "tau"]
+
+    def test_polynomial_kernel_rejected_before_any_evaluation(self, monkeypatch):
+        X, _ = subspace_data(seed=10)
+        poly = ModelSpec("klsr", KernelSpec("polynomial", offset=1.0, degree=2))
+        space = SearchSpace(models=(ModelSpec("lsr"), poly))
+        calls = []
+        monkeypatch.setattr(search, "evaluate_candidate", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="polynomial kernel .* no longer regularises"):
+            bo_search(X, 3, space, budget_per_model=8)
+        assert calls == []
 
 
 def test_import_leaves_unused_scipy_modules_unloaded():

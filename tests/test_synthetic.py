@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from autospectral.synthetic import generate_synthetic, random_poly_curves, random_subspaces
+from autospectral.synthetic import random_poly_curves, random_subspaces
 
 
 def principal_angles(B1, B2):
@@ -62,18 +62,3 @@ class TestPolyCurves:
         b = random_poly_curves(k=2, ambient_dim=6, degree=3, per_cluster=7, seed=9)
         assert np.array_equal(a[0], b[0])
 
-
-class TestDispatcher:
-    def test_kinds(self):
-        X, labels = generate_synthetic(
-            "subspaces", {"k": 2, "ambient_dim": 8, "intrinsic_dim": 2, "per_cluster": 5}, seed=0
-        )
-        assert X.shape == (8, 10)
-        X, _ = generate_synthetic(
-            "poly_manifolds", {"k": 2, "ambient_dim": 8, "degree": 2, "per_cluster": 5}, seed=0
-        )
-        assert X.shape == (8, 10)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            generate_synthetic("moons", {}, seed=0)

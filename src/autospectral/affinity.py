@@ -25,6 +25,9 @@ MODEL_LSR = "lsr"
 MODEL_KLSR = "klsr"
 MODEL_KERNEL_DIRECT = "kernel_direct"
 MODELS = (MODEL_LSR, MODEL_KLSR, MODEL_KERNEL_DIRECT)
+# the ridge models, which take lambda, and the models built on a kernel
+LAMBDA_MODELS = (MODEL_LSR, MODEL_KLSR)
+KERNEL_MODELS = (MODEL_KLSR, MODEL_KERNEL_DIRECT)
 
 KERNEL_KINDS = ("gaussian", "polynomial")
 
@@ -69,9 +72,9 @@ class CandidateConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
-        if self.model in (MODEL_LSR, MODEL_KLSR) and self.lam <= 0:
+        if self.model in LAMBDA_MODELS and self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.model in (MODEL_KLSR, MODEL_KERNEL_DIRECT) and self.kernel is None:
+        if self.model in KERNEL_MODELS and self.kernel is None:
             raise ValueError(f"model {self.model!r} requires a kernel spec")
         if self.approx_rank is not None and self.approx_rank < 1:
             raise ValueError("approx_rank must be >= 1")
@@ -99,39 +102,14 @@ class AffinityGraph:
         return sp.csr_matrix(self.dense)
 
 
-# float64 entries in one block of distances (8 MB), which bounds the memory
-# of gaussian_bandwidth to O(n * block) instead of O(n^2).
-_DISTANCE_BLOCK_ENTRIES = 1 << 20
-
-
-def gaussian_bandwidth(X, xi=1.0):
-    """Bandwidth = xi * mean pairwise distance over all n^2 ordered pairs.
-
-    Distances are computed a block of rows at a time, so memory stays at a
-    few blocks of ``_DISTANCE_BLOCK_ENTRIES`` entries.
-    """
-    X = check_finite(X, "X")
-    n = X.shape[1]
-    if n < 2:
-        raise ValueError("need at least two points")
-    total = 0.0
-    rows = max(1, _DISTANCE_BLOCK_ENTRIES // n)
-    for r in range(0, n, rows):
-        total += np.sqrt(_pairwise_sq_dists(X[:, r : r + rows], X)).sum()
-    return xi * (total / (n * n))
-
-
-def _pairwise_sq_dists(X, Y):
-    g = X.T @ Y
-    nx = np.einsum("ij,ij->j", X, X)
-    ny = np.einsum("ij,ij->j", Y, Y)
-    return np.maximum(nx[:, None] + ny[None, :] - 2.0 * g, 0.0)
-
-
 def kernel_matrix(X, spec):
     """Dense n x n kernel Gram matrix for the columns of X.
 
-    The gaussian diagonal is exactly 1; the result is exactly symmetric.
+    The gaussian bandwidth is ``xi`` times the mean pairwise distance over
+    all n^2 ordered pairs, taken from the squared distances that K is then
+    built from in place. Those come from |x|^2 + |y|^2 - 2 x'y, which can
+    leave rounding on the diagonal, so the gaussian diagonal is 1 to within
+    about 1e-15. The result is exactly symmetric.
 
     Raises
     ------
@@ -145,10 +123,16 @@ def kernel_matrix(X, spec):
     if spec.kind == "polynomial":
         K = (X.T @ X + spec.offset) ** spec.degree
     else:
-        sigma = gaussian_bandwidth(X, spec.xi)
+        sq = np.einsum("ij,ij->j", X, X)
+        K = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+        np.maximum(K, 0.0, out=K)
+        sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
         if sigma <= 0.0:
             raise DegenerateDataError("gaussian bandwidth is zero: all points identical")
-        K = np.exp(-_pairwise_sq_dists(X, X) / (2.0 * sigma**2))
+        # exp(-D2 / (2 sigma^2)), rounded as that expression is, in place
+        np.negative(K, out=K)
+        K /= 2.0 * sigma**2
+        np.exp(K, out=K)
     return (K + K.T) / 2.0
 
 

@@ -23,9 +23,10 @@ from .dataio import (
 )
 from .errors import DataFormatError, NumericalError, SearchFailedError, TrainingDivergedError
 from .kmeans import Partition
+from .linalg import unit_columns
 from .metrics import clustering_accuracy, nmi
 from .netembed import NetConfig, landmark_cluster
-from .search import bo_search, default_search_space, grid_search
+from .search import BO_INIT_DESIGN, bo_search, default_search_space, grid_search
 
 
 def build_parser():
@@ -91,7 +92,9 @@ def run_cli(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for name, minimum in _FLAG_MINIMUMS.items():
+    # a BO budget must cover the initial design that the GP is first fit to
+    minimums = {**_FLAG_MINIMUMS, "budget": BO_INIT_DESIGN} if args.search == "bo" else _FLAG_MINIMUMS
+    for name, minimum in minimums.items():
         if getattr(args, name) < minimum:
             print(f"error: --{name} must be at least {minimum}", file=sys.stderr)
             return 2
@@ -100,10 +103,7 @@ def run_cli(argv):
         return 2
     try:
         return _run(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataFormatError, ValueError, NumericalError, TrainingDivergedError) as exc:
+    except (FileNotFoundError, DataFormatError, ValueError, NumericalError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SearchFailedError as exc:
@@ -128,9 +128,7 @@ def _load(args):
                 truth = Partition.from_labels(load_labels_csv(args.labels))
     if truth is not None and truth.n != X.shape[1]:
         raise DataFormatError(f"{truth.n} labels for {X.shape[1]} points")
-    norms = np.linalg.norm(X, axis=0)
-    norms[norms == 0] = 1.0
-    return X / norms, truth
+    return unit_columns(X), truth
 
 
 def _run(args):
@@ -193,27 +191,11 @@ def _run(args):
     reg_mean, reg_std = _mean_std([r["winner"]["reg"] for r in repeats])
     acc_mean, acc_std = _mean_std([r["accuracy"] for r in repeats if r["accuracy"] is not None])
     nmi_mean, nmi_std = _mean_std([r["nmi"] for r in repeats if r["nmi"] is not None])
+    config = {**vars(args), "threads": threads}
+    del config["out"]
     report = {
         "schema_version": 2,
-        "config": {
-            "data": args.data,
-            "format": args.format,
-            "labels": args.labels,
-            "k": args.k,
-            "search": args.search,
-            "score": args.score,
-            "budget": args.budget,
-            "landmarks": args.landmarks,
-            "epochs": args.epochs,
-            "batch": args.batch,
-            "lr": args.lr,
-            "gamma": args.gamma,
-            "hidden": args.hidden,
-            "eps": args.eps,
-            "threads": threads,
-            "seed": args.seed,
-            "repeats": args.repeats,
-        },
+        "config": config,
         "repeats": repeats,
         "aggregate": {
             "reg_mean": reg_mean,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .affinity import LAMBDA_MODELS
 from .errors import DataFormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -166,7 +167,7 @@ def config_fields(config):
     kind = k.kind if k is not None else None
     return {
         "model": config.model,
-        "lambda": float(config.lam) if config.model in ("lsr", "klsr") else None,
+        "lambda": float(config.lam) if config.model in LAMBDA_MODELS else None,
         "kernel": kind,
         "xi": float(k.xi) if kind == "gaussian" else None,
         "offset": float(k.offset) if kind == "polynomial" else None,

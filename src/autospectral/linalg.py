@@ -40,6 +40,13 @@ def check_finite(M, name="matrix"):
     return M
 
 
+def unit_columns(X):
+    """X with each column scaled to unit l2 norm; zero columns stay zero."""
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0] = 1.0
+    return X / norms
+
+
 def randomized_svd(M, rank, oversample=10, seed=0):
     """Rank-``rank`` randomized SVD of a dense matrix.
 

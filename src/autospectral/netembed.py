@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 from .kmeans import kmeans, kmeans_centers
-from .linalg import check_finite
+from .linalg import check_finite, unit_columns
 from .search import bo_search, grid_search
 
 ACTIVATIONS = ("relu", "tanh")
@@ -243,10 +243,7 @@ def landmark_cluster(
     n = X.shape[1]
     if not (k + 1 <= n_landmarks < n):
         raise ValueError(f"need k + 1 <= n_landmarks < n (got {n_landmarks}, n={n})")
-    centers = kmeans_centers(X, n_landmarks, seed=seed)
-    norms = np.linalg.norm(centers, axis=0)
-    norms[norms == 0] = 1.0
-    landmarks = centers / norms
+    landmarks = unit_columns(kmeans_centers(X, n_landmarks, seed=seed))
     if mode == "grid":
         result = grid_search(X=landmarks, k=k, space=space, eps=eps, seed=seed, score=score, threads=threads)
     elif mode == "bo":

@@ -1,10 +1,13 @@
 """Candidate search over affinity models and hyperparameters.
 
-Two drivers share the same scoring pipeline (coefficients -> truncated
-affinity -> Laplacian spectrum -> relative eigen-gap): an exhaustive grid
-that reuses each coefficient matrix across the whole truncation grid, and a
-per-model Bayesian optimization loop (Matern-5/2 ARD Gaussian process,
-expected-improvement acquisition) over bounded continuous/integer ranges.
+One search scores candidates through one pipeline (coefficients ->
+truncated affinity -> Laplacian spectrum -> relative eigen-gap) and clusters
+the best. Two drivers differ only in how they pick each model's candidates:
+an exhaustive grid that reuses each coefficient matrix across the whole
+truncation grid, and a Bayesian optimization loop (Matern-5/2 ARD Gaussian
+process, expected-improvement acquisition) over bounded continuous/integer
+ranges. Both run the models one after another, or with ``threads > 1``
+concurrently, each model on its own n x n arrays.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ import numpy as np
 import scipy.linalg
 
 from .affinity import (
+    KERNEL_MODELS,
+    LAMBDA_MODELS,
     MODEL_KERNEL_DIRECT,
     MODEL_KLSR,
     MODEL_LSR,
+    MODELS,
     CandidateConfig,
     KernelSpec,
     build_coefficients,
@@ -43,14 +49,14 @@ class ModelSpec:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        if self.name not in (MODEL_LSR, MODEL_KLSR, MODEL_KERNEL_DIRECT):
+        if self.name not in MODELS:
             raise ValueError(f"unknown model {self.name!r}")
-        if self.name != MODEL_LSR and self.kernel is None:
+        if self.name in KERNEL_MODELS and self.kernel is None:
             raise ValueError(f"model {self.name!r} requires a kernel")
 
     @property
     def uses_lambda(self):
-        return self.name in (MODEL_LSR, MODEL_KLSR)
+        return self.name in LAMBDA_MODELS
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,8 @@ def _objective(score, kind):
 # evaluate_candidate peaked at 3.1 n^2 * 8 bytes (lsr, kernel_direct) and
 # 5.0 (klsr, whose eigendecomposition holds the most), and a one-model lsr
 # grid_search at 4.0. At 10 000 points that is about 4.0 GB, half of an
-# 8 GB host; larger inputs go through the landmark path.
+# 8 GB host; larger inputs go through the landmark path. With threads > 1,
+# each model that runs concurrently holds its own such arrays.
 SEARCH_MAX_N = 10_000
 
 
@@ -155,7 +162,7 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
     return CandidateScore(config=config, reg=relative_eigen_gap(spectrum, eps), spectrum=spectrum)
 
 
-def _score_taus(C, taus, make_config, k, seed, eps, threads):
+def _score_taus(C, taus, make_config, k, seed, eps):
     """Post-process one coefficient matrix across the tau grid, from one
     partition of its columns for every tau."""
     try:
@@ -172,13 +179,35 @@ def _score_taus(C, taus, make_config, k, seed, eps, threads):
             return _degenerate(config, exc)
         return CandidateScore(config=config, reg=relative_eigen_gap(spectrum, eps), spectrum=spectrum)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, taus))
     return [one(tau) for tau in taus]
 
 
-def _finish(X, k, scores, seed, kind, kmeans_restarts):
+def _search(X, k, models, seed, score, threads, score_model):
+    """The frame both drivers share: check the input, score each model's
+    candidates with ``score_model(X, model, child, approx_rank)``, which gets
+    the model's own child of ``seed``, and cluster the winner.
+
+    The models are self-contained, so ``threads > 1`` runs them concurrently
+    without changing any result. The scores keep model order.
+    """
+    if score not in SCORE_KINDS:
+        raise ValueError(f"score must be one of {SCORE_KINDS}")
+    X = _checked_points(X, k)
+    approx = default_approx_rank(X.shape[1], k)
+    pairs = list(zip(models, np.random.SeedSequence(seed).spawn(len(models))))
+
+    def run(pair):
+        return score_model(X, *pair, approx)
+
+    if threads > 1 and len(pairs) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(pairs))) as pool:
+            per_model = list(pool.map(run, pairs))
+    else:
+        per_model = [run(p) for p in pairs]
+    return _finish(X, k, [s for scores in per_model for s in scores], seed, score)
+
+
+def _finish(X, k, scores, seed, kind):
     order = sorted(range(len(scores)), key=lambda i: (-_objective(scores[i], kind), i))
     for i in order:
         winner = scores[i]
@@ -188,14 +217,14 @@ def _finish(X, k, scores, seed, kind, kmeans_restarts):
             Z = spectral_embedding(winner.spectrum)
         except DegenerateError:
             continue
-        partition = kmeans(Z, k, restarts=kmeans_restarts, seed=seed)
+        partition = kmeans(Z, k, seed=seed)
         return SearchResult(scores=scores, winner=winner, embedding=Z, partition=partition)
     raise SearchFailedError(
         "every candidate was degenerate", candidates=[s.config for s in scores]
     )
 
 
-def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_restarts=10):
+def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):
     """Evaluate the full (model, lambda, tau) grid and cluster the winner.
 
     The coefficient matrix is built once per (model, lambda), and one
@@ -204,16 +233,11 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_re
     similarity) are evaluated once per tau. Ties on the objective go to the
     first candidate in model -> lambda -> tau order.
     """
-    if score not in SCORE_KINDS:
-        raise ValueError(f"score must be one of {SCORE_KINDS}")
-    X = _checked_points(X, k)
-    n = X.shape[1]
-    approx = default_approx_rank(n, k)
-    scores = []
-    for model in space.models:
-        lambdas = space.lambdas if model.uses_lambda else (1.0,)
-        for lam in lambdas:
-            def make_config(tau, lam=lam, model=model):
+
+    def model_scores(X, model, child, approx):
+        scores = []
+        for lam in space.lambdas if model.uses_lambda else (1.0,):
+            def make_config(tau, lam=lam):
                 return CandidateConfig(
                     model=model.name, tau=tau, lam=lam, kernel=model.kernel, approx_rank=approx
                 )
@@ -223,8 +247,10 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1, kmeans_re
             except DegenerateError as exc:
                 scores.extend(_degenerate(make_config(tau), exc) for tau in space.taus)
                 continue
-            scores.extend(_score_taus(C, space.taus, make_config, k, seed, eps, threads))
-    return _finish(X, k, scores, seed, score, kmeans_restarts)
+            scores.extend(_score_taus(C, space.taus, make_config, k, seed, eps))
+        return scores
+
+    return _search(X, k, space.models, seed, score, threads, model_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +605,11 @@ def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
 # the first three fixed starts
 _WARM_STARTS = 4
 
+# low-discrepancy points each model evaluates before its first GP fit
+BO_INIT_DESIGN = 8
 
-def _bo_one_model(X, k, model, space, budget_per_model, init_design, child, seed, eps, score, approx):
+
+def _bo_one_model(X, k, model, space, budget_per_model, child, seed, eps, score, approx):
     """Sequential BO loop for one model; returns its CandidateScores in
     evaluation order.
 
@@ -614,7 +643,7 @@ def _bo_one_model(X, k, model, space, budget_per_model, init_design, child, seed
         U.append(np.asarray(u, dtype=np.float64))
         g_gp.append(float(g))
 
-    for u in sobol.random(init_design):
+    for u in sobol.random(BO_INIT_DESIGN):
         evaluate(u)
     fitted = None
     while len(U) < budget_per_model:
@@ -631,59 +660,28 @@ def _bo_one_model(X, k, model, space, budget_per_model, init_design, child, seed
     return scores
 
 
-def bo_search(
-    X,
-    k,
-    space,
-    budget_per_model=30,
-    seed=0,
-    eps=1e-6,
-    score="reg",
-    init_design=8,
-    kmeans_restarts=10,
-    threads=1,
-):
+def bo_search(X, k, space, budget_per_model=30, seed=0, eps=1e-6, score="reg", threads=1):
     """Per-model Bayesian optimization of -reg, then the across-model best.
 
     Each model runs independently: a scrambled low-discrepancy initial design
-    of ``init_design`` points, then fit-GP / maximize-EI / evaluate cycles up
-    to ``budget_per_model`` evaluations. Integer hyperparameters relax to
+    of ``BO_INIT_DESIGN`` points, then fit-GP / maximize-EI / evaluate cycles
+    up to ``budget_per_model`` evaluations. Integer hyperparameters relax to
     continuous values and round at evaluation time. Kernels must be gaussian,
-    whose only tuned parameter is ``xi``. The per-model loops are
-    self-contained, so ``threads > 1`` runs them concurrently without
-    changing any result. Deterministic given seed.
+    whose only tuned parameter is ``xi``. Deterministic given seed.
     """
-    if score not in SCORE_KINDS:
-        raise ValueError(f"score must be one of {SCORE_KINDS}")
-    if init_design < 2:
+    if budget_per_model < BO_INIT_DESIGN:
         raise ValueError(
-            f"init_design must be at least 2, as the GP fit needs two observations (got {init_design})"
+            f"budget_per_model must cover the initial design of {BO_INIT_DESIGN} points "
+            f"(got {budget_per_model})"
         )
-    if budget_per_model < init_design:
-        raise ValueError("budget_per_model must cover the initial design")
     if any(m.kernel is not None and m.kernel.kind == "polynomial" for m in space.models):
         raise ValueError(
             "BO searches gaussian kernels only: a polynomial kernel with offset up to 1e3 and "
             "degree up to 5 reaches entries near 1e15, where lambda no longer regularises; "
             "grid search takes it at a fixed offset and degree"
         )
-    X = _checked_points(X, k)
-    n = X.shape[1]
-    approx = default_approx_rank(n, k)
 
-    children = np.random.SeedSequence(seed).spawn(len(space.models))
+    def model_scores(X, model, child, approx):
+        return _bo_one_model(X, k, model, space, budget_per_model, child, seed, eps, score, approx)
 
-    def run_model(pair):
-        model, child = pair
-        return _bo_one_model(
-            X, k, model, space, budget_per_model, init_design, child, seed, eps, score, approx
-        )
-
-    pairs = list(zip(space.models, children))
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(pairs))) as pool:
-            per_model = list(pool.map(run_model, pairs))
-    else:
-        per_model = [run_model(p) for p in pairs]
-    all_scores = [s for scores in per_model for s in scores]
-    return _finish(X, k, all_scores, seed, score, kmeans_restarts)
+    return _search(X, k, space.models, seed, score, threads, model_scores)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import unit_columns
+
 
 def random_subspaces(k, ambient_dim, intrinsic_dim, per_cluster, noise_std=0.0, seed=0, normalize=True):
     """Points drawn from k random independent subspaces.
@@ -29,9 +31,7 @@ def random_subspaces(k, ambient_dim, intrinsic_dim, per_cluster, noise_std=0.0, 
     if noise_std > 0:
         X = X + noise_std * rng.standard_normal(X.shape)
     if normalize:
-        norms = np.linalg.norm(X, axis=0)
-        norms[norms == 0] = 1.0
-        X = X / norms
+        X = unit_columns(X)
     labels = np.repeat(np.arange(1, k + 1), per_cluster)
     return X, labels
 
@@ -55,9 +55,7 @@ def random_poly_curves(k, ambient_dim, degree, per_cluster, noise_std=0.0, seed=
     if noise_std > 0:
         X = X + noise_std * rng.standard_normal(X.shape)
     if normalize:
-        norms = np.linalg.norm(X, axis=0)
-        norms[norms == 0] = 1.0
-        X = X / norms
+        X = unit_columns(X)
     labels = np.repeat(np.arange(1, k + 1), per_cluster)
     return X, labels
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,13 +6,12 @@ import pytest
 from conftest import solve_pd, sorted_postprocess, ties_at_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from autospectral import affinity
 from autospectral.affinity import (
     CandidateConfig,
     KernelSpec,
     build_coefficients,
-    gaussian_bandwidth,
     kernel_matrix,
     klsr_coefficients,
     lsr_coefficients,
@@ -81,41 +79,6 @@ class TestLsr:
             lsr_coefficients(np.eye(3), 0.1)
 
 
-def unblocked_exact_bandwidth(X, xi):
-    """Reference: the mean over one dense n x n distance matrix."""
-    n = X.shape[1]
-    return xi * (np.sqrt(affinity._pairwise_sq_dists(X, X)).sum() / (n * n))
-
-
-def traced_peak_mb(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
-class TestGaussianBandwidth:
-    def test_one_block_is_bit_identical_to_unblocked(self):
-        X = np.random.default_rng(0).standard_normal((60, 300))
-        assert gaussian_bandwidth(X, xi=1.7) == unblocked_exact_bandwidth(X, 1.7)
-
-    def test_several_blocks_match_unblocked(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((6, 50))
-        # 7 rows per block: 8 blocks, the last one partial
-        monkeypatch.setattr(affinity, "_DISTANCE_BLOCK_ENTRIES", 7 * 50)
-        sigma = gaussian_bandwidth(X, xi=1.3)
-        assert sigma == pytest.approx(unblocked_exact_bandwidth(X, 1.3), rel=1e-12, abs=0)
-
-    def test_exact_path_memory_ceiling(self):
-        # n=3000: one dense distance matrix is 72 MB, the unblocked sum
-        # peaked at 216 MB; the blocked one stays within five 8-MB blocks
-        X = np.random.default_rng(2).standard_normal((5, 3000))
-        assert traced_peak_mb(lambda: gaussian_bandwidth(X)) < 40.0
-
-
 class TestKernelMatrix:
     def test_gaussian_identical_points_entry(self):
         X = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, -0.5]]).T  # 2 x 3? keep simple below
@@ -125,18 +88,23 @@ class TestKernelMatrix:
         np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-15)
 
     def test_gaussian_analytic_value(self):
-        # two points at distance sqrt(2)*sigma: entry exp(-1)
-        X = np.array([[0.0, 2.0]])
-        # mean pairwise distance over ordered pairs = (0+2+2+0)/4 = 1 -> sigma=1
-        sigma = gaussian_bandwidth(X, xi=1.0)
-        assert sigma == pytest.approx(1.0)
-        X2 = np.array([[0.0, math.sqrt(2.0) * sigma]])
-        spec = KernelSpec("gaussian", xi=1.0)
-        sigma2 = gaussian_bandwidth(X2, xi=1.0)
-        K = np.exp(-((X2[:, 0] - X2[:, 1]) ** 2).sum() / (2 * sigma2**2))
-        # direct construction with our own bandwidth formula agrees
-        full = kernel_matrix(X2, spec)
-        assert full[0, 1] == pytest.approx(K, abs=1e-12)
+        # two points at distance 1: the mean over ordered pairs is
+        # (0 + 1 + 1 + 0) / 4 = 1/2 = sigma, so the entry is exp(-1 / (2 sigma^2))
+        K = kernel_matrix(np.array([[0.0, 1.0]]), KernelSpec("gaussian", xi=1.0))
+        assert K[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [300, 1500])
+    def test_gaussian_matches_cdist_oracle(self, n):
+        # the expanded squared distances leave rounding of up to ~1e-14 on
+        # their diagonal, whose square roots enter the bandwidth's mean:
+        # sigma is off by up to ~1e-11 relative (5.8e-12 at n = 300), the
+        # rest of K agrees with the oracle to 1.4e-13
+        X = np.random.default_rng(n).standard_normal((20, n))
+        D = cdist(X.T, X.T)
+        sigma = 1.7 * D.mean()
+        expected = np.exp(-(D**2) / (2.0 * sigma**2))
+        K = kernel_matrix(X, KernelSpec("gaussian", xi=1.7))
+        np.testing.assert_allclose(K, expected, rtol=1e-10, atol=0)
 
     def test_polynomial_linear_case(self):
         rng = np.random.default_rng(2)

@@ -140,6 +140,15 @@ class TestUsageErrors:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bo_budget_below_initial_design_rejected_before_any_work(self, subspace_csv, tmp_path, capsys):
+        plain, _, _ = subspace_csv
+        out = tmp_path / "x"
+        flags = {"--search": "bo", "--budget": str(search.BO_INIT_DESIGN - 1)}
+        assert run_cli(base_args(plain, out, **flags)) == 2
+        err = capsys.readouterr().err
+        assert "--budget" in err and f"at least {search.BO_INIT_DESIGN}" in err
+        assert not out.exists()
+
     def test_unknown_flag(self, subspace_csv, tmp_path, capsys):
         plain, _, _ = subspace_csv
         code = run_cli(base_args(plain, tmp_path / "x") + ["--bogus", "1"])

@@ -737,7 +737,7 @@ class TestMemoryCeiling:
 
     def test_one_model_grid_search(self, points):
         space = SearchSpace(models=SCORED_MODELS[:1], lambdas=(0.1,), taus=(5, 10))
-        run = lambda: grid_search(points, 4, space, threads=1, kmeans_restarts=1)  # noqa: E731
+        run = lambda: grid_search(points, 4, space, threads=1)  # noqa: E731
         assert self.peak_arrays(run, 2000) < 4.5
 
 
@@ -962,13 +962,6 @@ class TestBoSearch:
         X, _ = subspace_data(seed=10)
         with pytest.raises(ValueError):
             bo_search(X, 3, SearchSpace(models=(ModelSpec("lsr"),)), budget_per_model=4)
-
-    @pytest.mark.parametrize("init_design", [0, 1])
-    def test_initial_design_needs_two_points(self, init_design):
-        X, _ = subspace_data(seed=10)
-        space = SearchSpace(models=(ModelSpec("lsr"),))
-        with pytest.raises(ValueError, match="init_design must be at least 2"):
-            bo_search(X, 3, space, budget_per_model=6, init_design=init_design)
 
     def test_dimensions_per_model(self):
         space = default_search_space()

@@ -101,6 +101,9 @@ def run_cli(argv):
     if not args.eps > 0:
         print("error: --eps must be positive", file=sys.stderr)
         return 2
+    if 0 < args.landmarks <= args.k:
+        print(f"error: --landmarks must be 0 or at least k + 1 = {args.k + 1}", file=sys.stderr)
+        return 2
     try:
         return _run(args)
     except (FileNotFoundError, DataFormatError, ValueError, NumericalError, TrainingDivergedError) as exc:
@@ -150,7 +153,7 @@ def _run(args):
                 hidden=args.hidden,
                 ridge=args.gamma,
                 epochs=args.epochs,
-                batch_size=min(args.batch, args.landmarks),
+                batch_size=args.batch,
                 lr=args.lr,
                 seed=rep_seed,
             )

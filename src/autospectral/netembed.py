@@ -9,7 +9,7 @@ checked against finite differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -232,8 +232,8 @@ def landmark_cluster(
     unit columns, which the search pipeline expects): they summarise X for
     the search, so restarts that only lower the inertia are not worth their
     cost. The candidate search runs on the landmarks; the network learns
-    landmark -> embedding and is applied to all of X; k-means on the result
-    gives the final partition.
+    landmark -> embedding, in batches of at most ``n_landmarks`` columns, and
+    is applied to all of X; k-means on the result gives the final partition.
 
     Returns
     -------
@@ -243,16 +243,17 @@ def landmark_cluster(
     n = X.shape[1]
     if not (k + 1 <= n_landmarks < n):
         raise ValueError(f"need k + 1 <= n_landmarks < n (got {n_landmarks}, n={n})")
+    if mode not in ("grid", "bo"):
+        raise ValueError("mode must be 'grid' or 'bo'")
     landmarks = unit_columns(kmeans_centers(X, n_landmarks, seed=seed))
     if mode == "grid":
         result = grid_search(X=landmarks, k=k, space=space, eps=eps, seed=seed, score=score, threads=threads)
-    elif mode == "bo":
+    else:
         result = bo_search(
             X=landmarks, k=k, space=space, budget_per_model=budget_per_model,
             seed=seed, eps=eps, score=score, threads=threads,
         )
-    else:
-        raise ValueError("mode must be 'grid' or 'bo'")
+    net_config = replace(net_config, batch_size=min(net_config.batch_size, n_landmarks))
     params, _ = net_train(landmarks, result.embedding, net_config)
     Z = net_forward(params, X, net_config.activation)
     partition = kmeans(Z, k, seed=seed)

@@ -61,14 +61,12 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Model list plus hyperparameter grids (grid mode) and bounds (BO mode)."""
+    """Model list plus the hyperparameter grids of grid mode; BO searches
+    the ranges of ``BO_BOUNDS``."""
 
     models: tuple[ModelSpec, ...]
     lambdas: tuple[float, ...] = (0.01, 0.1, 1.0)
     taus: tuple[int, ...] = tuple(range(5, 16))
-    lambda_bounds: tuple[float, float] = (1e-3, 1.0)
-    tau_bounds: tuple[int, int] = (5, 50)
-    xi_bounds: tuple[float, float] = (0.5, 5.0)
 
     def __post_init__(self):
         if not self.models:
@@ -77,9 +75,6 @@ class SearchSpace:
             raise ValueError("grids must be nonempty")
         if any(l <= 0 for l in self.lambdas) or any(t < 1 for t in self.taus):
             raise ValueError("invalid grid values")
-        for lo, hi in (self.lambda_bounds, self.tau_bounds, self.xi_bounds):
-            if lo > hi:
-                raise ValueError("bounds must satisfy min <= max")
 
 
 def default_search_space():
@@ -128,10 +123,11 @@ def _objective(score, kind):
 # Largest point count a search runs on. A candidate holds up to five dense
 # n x n float64 arrays at once: under tracemalloc at n = 2000,
 # evaluate_candidate peaked at 3.1 n^2 * 8 bytes (lsr, kernel_direct) and
-# 5.0 (klsr, whose eigendecomposition holds the most), and a one-model lsr
-# grid_search at 4.0. At 10 000 points that is about 4.0 GB, half of an
-# 8 GB host; larger inputs go through the landmark path. With threads > 1,
-# each model that runs concurrently holds its own such arrays.
+# 5.0 (klsr, whose eigendecomposition holds the most, and so sets the
+# ceiling), and a one-model lsr grid_search at 3.0. At 10 000 points five
+# arrays are about 4.0 GB, half of an 8 GB host; larger inputs go through
+# the landmark path. With threads > 1, each model that runs concurrently
+# holds its own such arrays.
 SEARCH_MAX_N = 10_000
 
 
@@ -150,36 +146,36 @@ def _checked_points(X, k):
     return X
 
 
-def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
-    """Score one candidate; degeneracies map to reg = -inf, not exceptions."""
-    X = _checked_points(X, k)
+def _score(C, config, k, seed, eps):
+    """Score one candidate from its coefficient matrix, or from that
+    matrix's ``column_thresholds`` for a list of levels holding
+    ``config.tau``; degeneracies map to reg = -inf, not exceptions."""
     try:
-        C = build_coefficients(X, config, seed=seed)
-        graph = postprocess_affinity(C, config.tau)
-        spectrum = laplacian_spectrum(graph, k, seed=seed)
+        spectrum = laplacian_spectrum(postprocess_affinity(C, config.tau), k, seed=seed)
     except DegenerateError as exc:
         return _degenerate(config, exc)
     return CandidateScore(config=config, reg=relative_eigen_gap(spectrum, eps), spectrum=spectrum)
 
 
-def _score_taus(C, taus, make_config, k, seed, eps):
-    """Post-process one coefficient matrix across the tau grid, from one
-    partition of its columns for every tau."""
+def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
+    """Score one candidate; degeneracies map to reg = -inf, not exceptions."""
+    X = _checked_points(X, k)
     try:
-        columns = column_thresholds(C, taus)
+        C = build_coefficients(X, config, seed=seed)
     except DegenerateError as exc:
-        return [_degenerate(make_config(tau), exc) for tau in taus]
+        return _degenerate(config, exc)
+    return _score(C, config, k, seed, eps)
 
-    def one(tau):
-        config = make_config(tau)
-        try:
-            graph = postprocess_affinity(columns, tau)
-            spectrum = laplacian_spectrum(graph, k, seed=seed)
-        except DegenerateError as exc:
-            return _degenerate(config, exc)
-        return CandidateScore(config=config, reg=relative_eigen_gap(spectrum, eps), spectrum=spectrum)
 
-    return [one(tau) for tau in taus]
+def _score_taus(X, k, configs, seed, eps):
+    """Score the candidates ``configs``, which differ only in tau, from one
+    coefficient matrix and one partition of its columns for every tau. The
+    matrix is freed before any tau is scored."""
+    try:
+        columns = column_thresholds(build_coefficients(X, configs[0], seed=seed), [c.tau for c in configs])
+    except DegenerateError as exc:
+        return [_degenerate(config, exc) for config in configs]
+    return [_score(columns, config, k, seed, eps) for config in configs]
 
 
 def _search(X, k, models, seed, score, threads, score_model):
@@ -237,17 +233,11 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):
     def model_scores(X, model, child, approx):
         scores = []
         for lam in space.lambdas if model.uses_lambda else (1.0,):
-            def make_config(tau, lam=lam):
-                return CandidateConfig(
-                    model=model.name, tau=tau, lam=lam, kernel=model.kernel, approx_rank=approx
-                )
-
-            try:
-                C = build_coefficients(X, make_config(space.taus[0]), seed=seed)
-            except DegenerateError as exc:
-                scores.extend(_degenerate(make_config(tau), exc) for tau in space.taus)
-                continue
-            scores.extend(_score_taus(C, space.taus, make_config, k, seed, eps))
+            configs = [
+                CandidateConfig(model=model.name, tau=tau, lam=lam, kernel=model.kernel, approx_rank=approx)
+                for tau in space.taus
+            ]
+            scores.extend(_score_taus(X, k, configs, seed, eps))
         return scores
 
     return _search(X, k, space.models, seed, score, threads, model_scores)
@@ -532,15 +522,19 @@ def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
 # Bayesian-optimization driver
 
 
-def bo_dimensions(model, space):
-    """(name, low, high, is_integer) per tunable hyperparameter of a model."""
-    dims = []
-    if model.uses_lambda:
-        dims.append(("lam", *space.lambda_bounds, False))
-    if model.kernel is not None:
-        dims.append(("xi", *space.xi_bounds, False))
-    dims.append(("tau", *space.tau_bounds, True))
-    return dims
+# the range BO searches for each hyperparameter it tunes
+BO_BOUNDS = {"lam": (1e-3, 1.0), "xi": (0.5, 5.0), "tau": (5, 50)}
+
+
+def bo_dimensions(model):
+    """(name, low, high, is_integer) per tunable hyperparameter of a model:
+    lambda if the model takes it, the bandwidth xi of a gaussian kernel, and
+    tau. A polynomial kernel keeps its offset and degree, as in grid search."""
+    names = ["lam"] if model.uses_lambda else []
+    if model.kernel is not None and model.kernel.kind == "gaussian":
+        names.append("xi")
+    names.append("tau")
+    return [(name, *BO_BOUNDS[name], name == "tau") for name in names]
 
 
 def _config_from_values(model, dims, values, n, approx):
@@ -548,17 +542,16 @@ def _config_from_values(model, dims, values, n, approx):
     for (name, lo, hi, is_int), v in zip(dims, values):
         v = min(max(v, lo), hi)
         named[name] = int(round(v)) if is_int else float(v)
-    kernel = replace(model.kernel, xi=named["xi"]) if model.kernel is not None else None
+    kernel = replace(model.kernel, xi=named["xi"]) if "xi" in named else model.kernel
     tau = min(named["tau"], n - 1)
     return CandidateConfig(
         model=model.name, tau=tau, lam=named.get("lam", 1.0), kernel=kernel, approx_rank=approx
     )
 
 
-def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
-    """The EI maximizer over the unit box: the best of ``n_samples``
-    low-discrepancy points, refined by coordinate search from the
-    ``n_refine`` best.
+def _maximize_ei(post, g_min, sobol):
+    """The EI maximizer over the unit box: the best of 256 low-discrepancy
+    points, refined by coordinate search from the 4 best.
 
     Each chain tries all 2d coordinate moves of its current step, takes the
     first best if it improves EI and otherwise quarters the step, until the
@@ -567,10 +560,10 @@ def _maximize_ei(post, g_min, sobol, n_samples=256, n_refine=4):
     with each chain's mean from its own block. The first chain with the
     highest EI wins.
     """
-    cand = sobol.random(n_samples)
+    cand = sobol.random(256)
     mu, var = post.predict(cand)
     ei = expected_improvement(mu, np.sqrt(var), g_min)
-    order = np.argsort(-ei)[:n_refine]
+    order = np.argsort(-ei)[:4]
     d = cand.shape[1]
 
     u = cand[order]
@@ -609,7 +602,7 @@ _WARM_STARTS = 4
 BO_INIT_DESIGN = 8
 
 
-def _bo_one_model(X, k, model, space, budget_per_model, child, seed, eps, score, approx):
+def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx):
     """Sequential BO loop for one model; returns its CandidateScores in
     evaluation order.
 
@@ -619,7 +612,7 @@ def _bo_one_model(X, k, model, space, budget_per_model, child, seed, eps, score,
     optimum as a warm start.
     """
     n = X.shape[1]
-    dims = bo_dimensions(model, space)
+    dims = bo_dimensions(model)
     lo = np.array([d[1] for d in dims], dtype=np.float64)
     hi = np.array([d[2] for d in dims], dtype=np.float64)
     from scipy.stats import qmc
@@ -665,23 +658,17 @@ def bo_search(X, k, space, budget_per_model=30, seed=0, eps=1e-6, score="reg", t
 
     Each model runs independently: a scrambled low-discrepancy initial design
     of ``BO_INIT_DESIGN`` points, then fit-GP / maximize-EI / evaluate cycles
-    up to ``budget_per_model`` evaluations. Integer hyperparameters relax to
-    continuous values and round at evaluation time. Kernels must be gaussian,
-    whose only tuned parameter is ``xi``. Deterministic given seed.
+    up to ``budget_per_model`` evaluations over the ranges of ``BO_BOUNDS``.
+    Integer hyperparameters relax to continuous values and round at
+    evaluation time. Deterministic given seed.
     """
     if budget_per_model < BO_INIT_DESIGN:
         raise ValueError(
             f"budget_per_model must cover the initial design of {BO_INIT_DESIGN} points "
             f"(got {budget_per_model})"
         )
-    if any(m.kernel is not None and m.kernel.kind == "polynomial" for m in space.models):
-        raise ValueError(
-            "BO searches gaussian kernels only: a polynomial kernel with offset up to 1e3 and "
-            "degree up to 5 reaches entries near 1e15, where lambda no longer regularises; "
-            "grid search takes it at a fixed offset and degree"
-        )
 
     def model_scores(X, model, child, approx):
-        return _bo_one_model(X, k, model, space, budget_per_model, child, seed, eps, score, approx)
+        return _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx)
 
     return _search(X, k, space.models, seed, score, threads, model_scores)

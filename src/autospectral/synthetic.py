@@ -7,12 +7,12 @@ import numpy as np
 from .linalg import unit_columns
 
 
-def random_subspaces(k, ambient_dim, intrinsic_dim, per_cluster, noise_std=0.0, seed=0, normalize=True):
+def random_subspaces(k, ambient_dim, intrinsic_dim, per_cluster, noise_std=0.0, seed=0):
     """Points drawn from k random independent subspaces.
 
     Each subspace gets an orthonormal basis from the QR of its own Gaussian
     block; points are Gaussian coordinates in that basis plus optional
-    ambient Gaussian noise, and columns are l2-normalized by default.
+    ambient Gaussian noise, in l2-normalized columns.
 
     Returns
     -------
@@ -30,10 +30,8 @@ def random_subspaces(k, ambient_dim, intrinsic_dim, per_cluster, noise_std=0.0, 
     X = np.hstack(cols)
     if noise_std > 0:
         X = X + noise_std * rng.standard_normal(X.shape)
-    if normalize:
-        X = unit_columns(X)
     labels = np.repeat(np.arange(1, k + 1), per_cluster)
-    return X, labels
+    return unit_columns(X), labels
 
 
 def random_poly_curves(k, ambient_dim, degree, per_cluster, noise_std=0.0, seed=0, normalize=True):

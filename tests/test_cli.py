@@ -149,6 +149,15 @@ class TestUsageErrors:
         assert "--budget" in err and f"at least {search.BO_INIT_DESIGN}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("landmarks", [1, 3])
+    def test_landmarks_up_to_k_rejected_before_any_work(self, tmp_path, capsys, landmarks):
+        # the data file does not exist: the flags are checked before it is read
+        out = tmp_path / "x"
+        assert run_cli(base_args(tmp_path / "nope.csv", out, **{"--k": 3, "--landmarks": landmarks})) == 2
+        err = capsys.readouterr().err
+        assert "--landmarks" in err and "k + 1 = 4" in err
+        assert not out.exists()
+
     def test_unknown_flag(self, subspace_csv, tmp_path, capsys):
         plain, _, _ = subspace_csv
         code = run_cli(base_args(plain, tmp_path / "x") + ["--bogus", "1"])

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from autospectral import netembed
 from autospectral.errors import TrainingDivergedError
 from autospectral.kmeans import Partition, kmeans
 from autospectral.metrics import clustering_accuracy
@@ -314,6 +315,23 @@ class TestLandmarkPipeline:
         cfg = NetConfig(hidden=10, epochs=2, batch_size=5)
         with pytest.raises(ValueError):
             landmark_cluster(X, 2, default_search_space(), n_landmarks=40, net_config=cfg)
+
+    def test_batch_larger_than_landmarks_is_clamped(self):
+        X, _ = random_subspaces(k=3, ambient_dim=30, intrinsic_dim=3, per_cluster=50, noise_std=0.01, seed=0)
+        space = SearchSpace(models=(ModelSpec("lsr"),), lambdas=(0.1,), taus=(5, 8))
+        runs = [
+            landmark_cluster(X, 3, space, 60, NetConfig(hidden=20, epochs=3, batch_size=batch, seed=0))
+            for batch in (128, 60)
+        ]
+        assert np.array_equal(runs[0][0].labels, runs[1][0].labels)
+
+    def test_unknown_mode_rejected_before_landmark_kmeans(self, monkeypatch):
+        X, _ = random_subspaces(k=2, ambient_dim=10, intrinsic_dim=2, per_cluster=20, seed=0)
+        calls = []
+        monkeypatch.setattr(netembed, "kmeans_centers", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="mode must be"):
+            landmark_cluster(X, 2, default_search_space(), 10, NetConfig(), mode="random")
+        assert calls == []
 
     def test_small_end_to_end(self):
         X, labels = random_subspaces(

@@ -738,7 +738,7 @@ class TestMemoryCeiling:
     def test_one_model_grid_search(self, points):
         space = SearchSpace(models=SCORED_MODELS[:1], lambdas=(0.1,), taus=(5, 10))
         run = lambda: grid_search(points, 4, space, threads=1)  # noqa: E731
-        assert self.peak_arrays(run, 2000) < 4.5
+        assert self.peak_arrays(run, 2000) < 3.5
 
 
 class TestPointCeiling:
@@ -964,23 +964,24 @@ class TestBoSearch:
             bo_search(X, 3, SearchSpace(models=(ModelSpec("lsr"),)), budget_per_model=4)
 
     def test_dimensions_per_model(self):
-        space = default_search_space()
-        lsr_dims = [d[0] for d in bo_dimensions(ModelSpec("lsr"), space)]
-        assert lsr_dims == ["lam", "tau"]
+        assert [d[0] for d in bo_dimensions(ModelSpec("lsr"))] == ["lam", "tau"]
         gaussian = ModelSpec("klsr", KernelSpec("gaussian"))
-        assert [d[0] for d in bo_dimensions(gaussian, space)] == ["lam", "xi", "tau"]
+        assert [d[0] for d in bo_dimensions(gaussian)] == ["lam", "xi", "tau"]
         direct = ModelSpec("kernel_direct", KernelSpec("gaussian"))
-        assert [d[0] for d in bo_dimensions(direct, space)] == ["xi", "tau"]
+        assert [d[0] for d in bo_dimensions(direct)] == ["xi", "tau"]
+        poly = KernelSpec("polynomial", offset=1.0, degree=2)
+        assert [d[0] for d in bo_dimensions(ModelSpec("klsr", poly))] == ["lam", "tau"]
+        assert [d[0] for d in bo_dimensions(ModelSpec("kernel_direct", poly))] == ["tau"]
 
-    def test_polynomial_kernel_rejected_before_any_evaluation(self, monkeypatch):
+    def test_polynomial_kernel_keeps_its_offset_and_degree(self):
         X, _ = subspace_data(seed=10)
-        poly = ModelSpec("klsr", KernelSpec("polynomial", offset=1.0, degree=2))
-        space = SearchSpace(models=(ModelSpec("lsr"), poly))
-        calls = []
-        monkeypatch.setattr(search, "evaluate_candidate", lambda *a, **kw: calls.append(a))
-        with pytest.raises(ValueError, match="polynomial kernel .* no longer regularises"):
-            bo_search(X, 3, space, budget_per_model=8)
-        assert calls == []
+        poly = KernelSpec("polynomial", offset=1.0, degree=2)
+        space = SearchSpace(models=(ModelSpec("klsr", poly), ModelSpec("kernel_direct", poly)))
+        res = bo_search(X, 3, space, budget_per_model=12, seed=0)
+        assert len(res.scores) == 24
+        assert all(s.config.kernel == poly for s in res.scores)
+        assert len({s.config.lam for s in res.scores[:12]}) > 1
+        assert {s.config.lam for s in res.scores[12:]} == {1.0}
 
 
 def test_import_leaves_unused_scipy_modules_unloaded():

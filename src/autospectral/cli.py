@@ -136,6 +136,8 @@ def _load(args):
 
 def _run(args):
     X, truth = _load(args)
+    if args.landmarks >= X.shape[1]:
+        raise ValueError(f"--landmarks must be below the point count n = {X.shape[1]}")
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     space = default_search_space()
     out = Path(args.out)

@@ -191,35 +191,34 @@ def lloyd_iterations(P, k, rng, max_iters=300, tol=1e-6):
     return labels, centers, float(mind2.sum()), history
 
 
-def _best_run(X, k, restarts, max_iters, tol, seed):
+def _best_run(X, k, restarts, seed, max_iters):
     """(labels0, centers, inertia) of the lowest-inertia of ``restarts``
     runs on the columns of X; ties keep the earliest restart."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
     if k < 1 or k > n:
         raise ValueError(f"k must be in [1, {n}]")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     P = X.T.copy()
     best = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        labels, centers, inertia, _ = lloyd_iterations(P, k, rng, max_iters, tol)
+        labels, centers, inertia, _ = lloyd_iterations(P, k, rng, max_iters)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     return best
 
 
-def kmeans(Z, k, restarts=10, max_iters=300, tol=1e-6, seed=0):
-    """Best-of-``restarts`` k-means on the columns of Z.
+def kmeans(Z, k, seed=0):
+    """Best of 10 k-means runs on the columns of Z, each of at most 300
+    Lloyd steps.
 
     Returns the lowest-inertia Partition; ties keep the earliest restart.
     """
-    labels, _, inertia = _best_run(Z, k, restarts, max_iters, tol, seed)
+    labels, _, inertia = _best_run(Z, k, 10, seed, 300)
     return Partition(labels=labels + 1, k=k, inertia=inertia)
 
 
-def kmeans_centers(X, k, seed=0, max_iters=300, tol=1e-6):
+def kmeans_centers(X, k, seed=0, max_iters=300):
     """Centers (m x k) of one k-means run; used for landmark selection.
 
     Landmarks only summarise X for the search, so one run suffices: the
@@ -227,4 +226,4 @@ def kmeans_centers(X, k, seed=0, max_iters=300, tol=1e-6):
     landmark path's final accuracy unchanged. The run is restart 0 of
     ``kmeans`` with the same seed.
     """
-    return _best_run(X, k, 1, max_iters, tol, seed)[1].T.copy()
+    return _best_run(X, k, 1, seed, max_iters)[1].T.copy()

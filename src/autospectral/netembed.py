@@ -9,7 +9,7 @@ checked against finite differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,21 +25,14 @@ ACTIVATIONS = ("relu", "tanh")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass(frozen=True)
-class MLPParams:
-    """Weights and biases of the two-layer embedding network."""
+class MLPParams(NamedTuple):
+    """One array per block of the two-layer embedding network: its weights
+    and biases, their gradients, or Adam's moments of them."""
 
-    w1: np.ndarray = field(repr=False)
-    b1: np.ndarray = field(repr=False)
-    w2: np.ndarray = field(repr=False)
-    b2: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,17 +54,6 @@ class NetConfig:
             raise ValueError("ridge must be >= 0 and lr > 0")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-
-
-class Blocks(NamedTuple):
-    """One array per parameter block: a gradient, or the weights while they
-    train. Not validated: a diverged step legitimately produces non-finite
-    values, which training turns into a TrainingDivergedError."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 def _act(A, kind):
@@ -137,7 +119,7 @@ def net_loss_and_grad(params, X, Z, ridge, activation="relu"):
         dA = (params.w2.T @ R) * _act_grad(A, activation)
         dw1 = (dA @ X.T) / s + ridge * params.w1
         db1 = dA.sum(axis=1) / s
-    return loss, Blocks(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return loss, MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
 def net_train(X, Z, config):
@@ -164,15 +146,15 @@ def net_train(X, Z, config):
         raise ValueError("batch_size exceeds the number of training columns")
     rng = np.random.default_rng(config.seed)
     d = config.hidden
-    # updated in place; checked once per epoch, when they become MLPParams
-    weights = Blocks(
+    # updated in place; checked once per epoch
+    weights = MLPParams(
         w1=rng.standard_normal((d, m)) * np.sqrt(2.0 / m),
         b1=np.zeros(d),
         w2=rng.standard_normal((kdim, d)) * np.sqrt(2.0 / d),
         b2=np.zeros(kdim),
     )
-    mom = Blocks(*(np.zeros_like(w) for w in weights))
-    vel = Blocks(*(np.zeros_like(w) for w in weights))
+    mom = MLPParams(*(np.zeros_like(w) for w in weights))
+    vel = MLPParams(*(np.zeros_like(w) for w in weights))
     t = 0
 
     def full_loss(p):
@@ -200,17 +182,13 @@ def net_train(X, Z, config):
                     mhat = mo / (1.0 - ADAM_BETA1**t)
                     vhat = ve / (1.0 - ADAM_BETA2**t)
                     w -= config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        try:
-            params = MLPParams(*(w.copy() for w in weights))
-        except ValueError as exc:
-            raise TrainingDivergedError(
-                f"non-finite parameters at epoch {epoch}", epoch=epoch
-            ) from exc
-        loss = full_loss(params)
+        if not all(np.isfinite(w).all() for w in weights):
+            raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}", epoch=epoch)
+        loss = full_loss(weights)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         losses.append(loss)
-    return params, np.asarray(losses)
+    return weights, np.asarray(losses)
 
 
 def landmark_cluster(

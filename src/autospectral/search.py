@@ -12,6 +12,7 @@ concurrently, each model on its own n x n arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -314,19 +315,14 @@ def expected_improvement(mu, sigma, g_min):
     return out
 
 
-_SOBOL_START_CACHE = {}
-
-
+@functools.cache
 def _sobol_unit_starts(d, n):
     """Fixed scrambled low-discrepancy start points in the unit box, cached."""
-    key = (d, n)
-    if key not in _SOBOL_START_CACHE:
-        # imported here, not at the top: scipy.stats is about half of the
-        # package's import time, and only BO draws Sobol points
-        from scipy.stats import qmc
+    # imported here, not at the top: scipy.stats is about half of the
+    # package's import time, and only BO draws Sobol points
+    from scipy.stats import qmc
 
-        _SOBOL_START_CACHE[key] = qmc.Sobol(d, scramble=True, seed=0).random(n)
-    return _SOBOL_START_CACHE[key]
+    return qmc.Sobol(d, scramble=True, seed=0).random(n)
 
 
 def _bordered_cholesky(M, r):
@@ -509,13 +505,10 @@ def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
         if not len(active):
             break
 
-    best_amp, best_ls, best_val = None, None, -np.inf
-    for s in range(n_starts):
-        if val[s] > best_val:
-            best_val, best_amp, best_ls = val[s], float(amp[s]), ls[s].copy()
-    if best_amp is None or not np.isfinite(best_val):
+    best = int(np.argmax(val))
+    if not np.isfinite(val[best]):
         return 1.0, ls_default
-    return best_amp, best_ls
+    return float(amp[best]), ls[best]
 
 
 # ---------------------------------------------------------------------------

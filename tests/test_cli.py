@@ -158,6 +158,14 @@ class TestUsageErrors:
         assert "--landmarks" in err and "k + 1 = 4" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_landmarks_at_or_above_point_count_rejected_before_output(self, subspace_csv, tmp_path, capsys, extra):
+        plain, _, n = subspace_csv
+        out = tmp_path / "x"
+        assert run_cli(base_args(plain, out, **{"--landmarks": n + extra})) == 1
+        assert f"--landmarks must be below the point count n = {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag(self, subspace_csv, tmp_path, capsys):
         plain, _, _ = subspace_csv
         code = run_cli(base_args(plain, tmp_path / "x") + ["--bogus", "1"])

@@ -205,7 +205,7 @@ class TestTrain:
 
 def reference_train(X, Z, config):
     """The straightforward Adam loop: full gradient for every epoch loss,
-    fresh moment arrays and validated parameters on every step."""
+    fresh moment arrays, and parameters checked finite on every step."""
     rng = np.random.default_rng(config.seed)
     (m, s), kdim, d = X.shape, Z.shape[0], config.hidden
     params = MLPParams(
@@ -234,10 +234,9 @@ def reference_train(X, Z, config):
                     mhat = mom[n] / (1.0 - ADAM_BETA1**t)
                     vhat = vel[n] / (1.0 - ADAM_BETA2**t)
                     updated[n] = getattr(params, n) - config.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            try:
-                params = MLPParams(**updated)
-            except ValueError:
-                raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}", epoch=epoch) from None
+            if not all(np.isfinite(w).all() for w in updated.values()):
+                raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}", epoch=epoch)
+            params = MLPParams(**updated)
         loss = net_loss_and_grad(params, X, Z, config.ridge, config.activation)[0]
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)

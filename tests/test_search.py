@@ -429,6 +429,18 @@ class TestFitGpHyperparams:
         assert amp == 1.0
         np.testing.assert_allclose(ls, [1.5, 1.0])
 
+    def test_no_start_factors_returns_defaults(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        S = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+        y = np.array([0.0, 1.0, 3.0])
+        for kwargs in ({}, {"n_starts": 4, "init": (2.0, np.array([0.5, 0.5]))}):
+            amp, ls = fit_gp_hyperparams(S, y, **kwargs)
+            assert amp == 1.0
+            np.testing.assert_array_equal(ls, [1.5, 1.0])
+
     def test_two_observations_smoke(self):
         amp, ls = fit_gp_hyperparams(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         assert np.isfinite(amp) and amp > 0

@@ -107,9 +107,10 @@ def kernel_matrix(X, spec):
 
     The gaussian bandwidth is ``xi`` times the mean pairwise distance over
     all n^2 ordered pairs, taken from the squared distances that K is then
-    built from in place. Those come from |x|^2 + |y|^2 - 2 x'y, which can
-    leave rounding on the diagonal, so the gaussian diagonal is 1 to within
-    about 1e-15. The result is exactly symmetric.
+    built from in place. Those come from |x|^2 + |y|^2 - 2 x'y, whose
+    rounding would leave up to ~1e-14 on the diagonal, so the diagonal is
+    set to 0 first: each point's distance to itself adds nothing to the mean,
+    and the gaussian diagonal is exactly 1. The result is exactly symmetric.
 
     Raises
     ------
@@ -126,6 +127,7 @@ def kernel_matrix(X, spec):
         sq = np.einsum("ij,ij->j", X, X)
         K = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
         np.maximum(K, 0.0, out=K)
+        K.flat[:: n + 1] = 0.0
         sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
         if sigma <= 0.0:
             raise DegenerateDataError("gaussian bandwidth is zero: all points identical")

@@ -95,16 +95,14 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("n", [300, 1500])
     def test_gaussian_matches_cdist_oracle(self, n):
-        # the expanded squared distances leave rounding of up to ~1e-14 on
-        # their diagonal, whose square roots enter the bandwidth's mean:
-        # sigma is off by up to ~1e-11 relative (5.8e-12 at n = 300), the
-        # rest of K agrees with the oracle to 1.4e-13
+        # the expanded squared distances carry no diagonal rounding into the
+        # bandwidth's mean, so K agrees with the oracle to 3.7e-16 relative
         X = np.random.default_rng(n).standard_normal((20, n))
         D = cdist(X.T, X.T)
         sigma = 1.7 * D.mean()
         expected = np.exp(-(D**2) / (2.0 * sigma**2))
         K = kernel_matrix(X, KernelSpec("gaussian", xi=1.7))
-        np.testing.assert_allclose(K, expected, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
 
     def test_polynomial_linear_case(self):
         rng = np.random.default_rng(2)

@@ -201,10 +201,10 @@ def _search(X, k, models, seed, score, threads, score_model):
             per_model = list(pool.map(run, pairs))
     else:
         per_model = [run(p) for p in pairs]
-    return _finish(X, k, [s for scores in per_model for s in scores], seed, score)
+    return _finish(k, [s for scores in per_model for s in scores], seed, score)
 
 
-def _finish(X, k, scores, seed, kind):
+def _finish(k, scores, seed, kind):
     order = sorted(range(len(scores)), key=lambda i: (-_objective(scores[i], kind), i))
     for i in order:
         winner = scores[i]
@@ -375,20 +375,25 @@ def _bordered_cholesky(M, r):
 # batch holds a few arrays of this size, so the budget bounds the fit's memory
 _LML_BUDGET = 2**15
 
-# the fit scores starts from this fixed set; ``n_starts`` takes its first points
-_MAX_STARTS = 16
+# fixed start points every fit scores
+_FIXED_STARTS = 16
+
+# starts with the highest initial likelihood that run the coordinate search
+_REFINED_STARTS = 4
 
 
-def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
+def fit_gp_hyperparams(S, y, init=None):
     """Maximize the log marginal likelihood over (amplitude, length scales).
 
-    Multi-start coordinate search: the starts are the first ``n_starts`` of
-    16 fixed scrambled low-discrepancy points over log-scaled bounds
-    [1e-3, 1e3] relative to the data scales. ``init=(amplitude,
-    lengthscales)``, clipped to those bounds, replaces the last start: a
-    warm start from an earlier optimum. In each of two sweeps, each length
-    scale moves on a multiplicative grid while the amplitude step uses its
-    exact per-configuration optimum, clipped to the same bounds. The likelihood
+    Multi-start coordinate search. The starts are 16 fixed scrambled
+    low-discrepancy points over log-scaled bounds [1e-3, 1e3] relative to
+    the data scales, plus ``init=(amplitude, lengthscales)``, if given,
+    clipped to those bounds as a 17th start: a warm start from an earlier
+    optimum. Every start's initial likelihood is scored, and the
+    ``_REFINED_STARTS`` highest (the first in start order on ties) run the
+    search: in each of two sweeps, each length scale moves on a
+    multiplicative grid while the amplitude step uses its exact
+    per-configuration optimum, clipped to the same bounds. The likelihood
     is Rasmussen & Williams' Cholesky form (Alg. 2.1): one Cholesky factor
     of the Gram matrix K bordered by the centred targets r gives both
     log det K and r'K^-1 r, with no separate solve. The starts advance in
@@ -397,9 +402,10 @@ def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
     together, in chunks of whole starts whose stacked bordered matrices
     hold at most ``_LML_BUDGET`` entries. A start that moved in no dimension
     during a sweep would repeat that sweep exactly, so it drops out of later
-    sweeps. Every start ends where its own coordinate search would, bit for
-    bit; the best start wins, the first on ties. Deterministic given the
-    observations and ``init``.
+    sweeps. Every refined start ends where its own coordinate search would,
+    bit for bit; the best scored start wins, the first on ties, so the fit
+    never ends below the initial value of any start. Deterministic given
+    the observations and ``init``.
 
     Returns
     -------
@@ -410,8 +416,6 @@ def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
     t, d = S.shape
     if t < 2:
         raise ValueError("need at least two observations")
-    if not 1 <= n_starts <= _MAX_STARTS:
-        raise ValueError(f"n_starts must be in 1..{_MAX_STARTS}")
     ls_default = np.array([max(np.ptp(S[:, j]) / 2.0, 1e-12) for j in range(d)])
     ls_default[np.ptp(S, axis=0) == 0] = 1.0
     if np.ptp(y) == 0.0:
@@ -461,11 +465,11 @@ def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
 
     log_lo = np.log(np.concatenate([[amp_lo], ls_lo]))
     log_hi = np.log(np.concatenate([[amp_hi], ls_hi]))
-    unit = _sobol_unit_starts(d + 1, _MAX_STARTS)[:n_starts]
-    starts = np.exp(log_lo + unit * (log_hi - log_lo))
+    starts = np.exp(log_lo + _sobol_unit_starts(d + 1, _FIXED_STARTS) * (log_hi - log_lo))
     if init is not None:
-        starts[-1, 0] = np.clip(init[0], amp_lo, amp_hi)
-        starts[-1, 1:] = np.clip(init[1], ls_lo, ls_hi)
+        warm = np.concatenate([[np.clip(init[0], amp_lo, amp_hi)], np.clip(init[1], ls_lo, ls_hi)])
+        starts = np.vstack([starts, warm])
+    n_starts = len(starts)
     amp = starts[:, 0].copy()
     ls = starts[:, 1:].copy()
     val = np.empty(n_starts)
@@ -478,7 +482,7 @@ def fit_gp_hyperparams(S, y, n_starts=_MAX_STARTS, init=None):
 
     factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
     per = max(1, _LML_BUDGET // (len(factors) * n1 * n1))
-    active = np.arange(n_starts)
+    active = np.argsort(-val, kind="stable")[:_REFINED_STARTS]
     for _ in range(2):
         moved = np.zeros(n_starts, dtype=bool)
         for j in range(d):
@@ -580,16 +584,8 @@ def _maximize_ei(post, g_min, sobol):
         e[live[up]] = e_best[up]
         step[live[~up]] /= 4.0
 
-    best_u, best_e = cand[order[0]], float(ei[order[0]])
-    for c in range(len(order)):
-        if e[c] > best_e:
-            best_u, best_e = u[c], float(e[c])
-    return best_u.copy()
+    return u[int(np.argmax(e))].copy()
 
-
-# starts of every GP fit after a model's first: the previous optimum plus
-# the first three fixed starts
-_WARM_STARTS = 4
 
 # low-discrepancy points each model evaluates before its first GP fit
 BO_INIT_DESIGN = 8
@@ -599,10 +595,9 @@ def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx
     """Sequential BO loop for one model; returns its CandidateScores in
     evaluation order.
 
-    Each step refits the GP hyperparameters to all evaluations so far. The
-    model's first fit scores all 16 fixed starts; every later fit scores
-    ``_WARM_STARTS``: the first three fixed starts plus the previous fit's
-    optimum as a warm start.
+    Each step refits the GP hyperparameters to all evaluations so far.
+    Every fit after the model's first also scores the previous fit's optimum
+    as a warm start, beside the fixed starts that every fit scores.
     """
     n = X.shape[1]
     dims = bo_dimensions(model)
@@ -635,10 +630,7 @@ def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx
     while len(U) < budget_per_model:
         S = np.vstack(U)
         yv = np.asarray(g_gp)
-        if fitted is None:
-            fitted = fit_gp_hyperparams(S, yv)
-        else:
-            fitted = fit_gp_hyperparams(S, yv, n_starts=_WARM_STARTS, init=fitted)
+        fitted = fit_gp_hyperparams(S, yv, init=fitted)
         amplitude, lengthscales = fitted
         post = _Posterior(S, yv, amplitude, lengthscales, float(np.mean(yv)))
         u_next = _maximize_ei(post, float(np.min(yv)), sobol)

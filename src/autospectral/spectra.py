@@ -54,7 +54,8 @@ def laplacian_spectrum(graph, k, seed=0):
         M = (scaling @ graph.a @ scaling).tocsr()
     rho, vecs = partial_sym_eigs(M, count=k + 1, seed=seed)
     sigmas = np.clip(1.0 - rho, 0.0, 2.0)
-    return LaplacianSpectrum(k=k, sigmas=sigmas, vectors=vecs[:, :k])
+    # a copy, not a view that would keep all k+1 vectors alive
+    return LaplacianSpectrum(k=k, sigmas=sigmas, vectors=vecs[:, :k].copy())
 
 
 def relative_eigen_gap(spectrum, eps=1e-6):

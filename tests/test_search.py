@@ -147,13 +147,16 @@ class TestExpectedImprovement:
         np.testing.assert_array_equal(e1, [ei(m, s, g_min) for m, s in zip(mu, s1)])
 
 
-def reference_fit(S, y, n_starts=16, sweeps=2, init=None):
+def reference_fit(S, y, init=None):
     """The coordinate search one start at a time: each start scores its own
-    initial value and its own 9 candidates per (sweep, dimension), in
-    separate batches, and runs every sweep. Each likelihood factors the Gram
+    initial value in a batch of its own; then each of the
+    ``search._REFINED_STARTS`` starts with the highest initial values (the
+    first on ties) scores its own 9 candidates per (sweep, dimension), in
+    separate batches, and runs both sweeps. Each likelihood factors the Gram
     matrix K bordered by the centred targets r, [[K, r], [r', c]], whose
-    factor's last row is L^-1 r. ``init`` replaces the last start, clipped
-    to the bounds."""
+    factor's last row is L^-1 r. ``init``, clipped to the bounds, is a 17th
+    start after the 16 fixed ones. The best scored start wins, the first on
+    ties."""
     S = np.atleast_2d(np.asarray(S, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     t, d = S.shape
@@ -210,18 +213,20 @@ def reference_fit(S, y, n_starts=16, sweeps=2, init=None):
 
     log_lo = np.log(np.concatenate([[amp_lo], ls_lo]))
     log_hi = np.log(np.concatenate([[amp_hi], ls_hi]))
-    starts = np.exp(log_lo + _sobol_unit_starts(d + 1, 16)[:n_starts] * (log_hi - log_lo))
+    starts = list(np.exp(log_lo + _sobol_unit_starts(d + 1, 16) * (log_hi - log_lo)))
     if init is not None:
-        starts[-1] = np.concatenate([np.clip([init[0]], amp_lo, amp_hi), np.clip(init[1], ls_lo, ls_hi)])
+        starts.append(np.concatenate([np.clip([init[0]], amp_lo, amp_hi), np.clip(init[1], ls_lo, ls_hi)]))
+    scored = []
+    for start in starts:
+        amps = np.array([float(start[0])])
+        val = float(lml_batch(r2_of(1.0 / start[1:] ** 2)[None], amps)[0])
+        scored.append((val, float(amps[0]), start[1:].copy()))
+    # sorted() is stable: among equal initial values the earlier start goes first
+    refined = sorted(range(len(scored)), key=lambda i: -scored[i][0])[: search._REFINED_STARTS]
     factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
     best_amp, best_ls, best_val = None, None, -np.inf
-    for start in starts:
-        amp = float(start[0])
-        ls = start[1:].copy()
-        amps = np.array([amp])
-        val = float(lml_batch(r2_of(1.0 / ls**2)[None], amps)[0])
-        amp = float(amps[0])
-        for _ in range(sweeps):
+    for i_start, (val, amp, ls) in enumerate(scored):
+        for _ in range(2 if i_start in refined else 0):
             for j in range(d):
                 cand = np.clip(ls[j] * factors, ls_lo[j], ls_hi[j])
                 inv = 1.0 / ls**2
@@ -299,7 +304,8 @@ def random_observations(t, d, seed):
 def bo_fits(budget=12):
     """(S, y, keyword arguments) of every fit in a short default-space
     bo_search: d=2 and d=3, t from the initial design of 8 up to budget - 1.
-    Each model's first fit runs cold, its later fits warm."""
+    Each model's first fit runs cold (init None), each later fit warm from
+    the previous optimum."""
     seen = []
     fit = search.fit_gp_hyperparams
 
@@ -366,6 +372,28 @@ def oracle_lml(S, y, amp, ls):
     except np.linalg.LinAlgError:
         return -np.inf
     return -0.5 * r @ scipy.linalg.cho_solve(c, r) - 0.5 * np.linalg.slogdet(K)[1] - 0.5 * t * math.log(2 * math.pi)
+
+
+def best_start_lml(S, y, init):
+    """The highest initial value among the starts a fit scores: the 16 fixed
+    ones and the clipped ``init``. As in the fit, a start's value is at the
+    amplitude that maximizes it, r'K^-1 r / t clipped to the bounds, so its
+    own amplitude plays no part."""
+    t = len(y)
+    r = y - y.mean()
+    var, ptp = max(float(np.var(y)), 1e-12), np.ptp(S, axis=0)
+    lengthscales = list(fixed_start_lengthscales(S))
+    if init is not None:
+        lengthscales.append(np.clip(init[1], ptp * 1e-3, ptp * 1e3))
+    best = -np.inf
+    for ls in lengthscales:
+        try:
+            c = scipy.linalg.cho_factor(gram(S, ls), lower=True)
+        except np.linalg.LinAlgError:
+            continue
+        amp = np.clip(r @ scipy.linalg.cho_solve(c, r) / t, var * 1e-3, var * 1e3)
+        best = max(best, oracle_lml(S, y, amp, ls))
+    return best
 
 
 class TestBorderedCholesky:
@@ -436,7 +464,7 @@ class TestFitGpHyperparams:
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         S = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
         y = np.array([0.0, 1.0, 3.0])
-        for kwargs in ({}, {"n_starts": 4, "init": (2.0, np.array([0.5, 0.5]))}):
+        for kwargs in ({}, {"init": (2.0, np.array([0.5, 0.5]))}):
             amp, ls = fit_gp_hyperparams(S, y, **kwargs)
             assert amp == 1.0
             np.testing.assert_array_equal(ls, [1.5, 1.0])
@@ -456,12 +484,6 @@ class TestFitGpHyperparams:
         assert np.all(ls >= 1.0 / 3.0) and np.all(ls <= 3.0)
         assert 1.0 / 3.0 <= amp <= 3.0
 
-    def test_start_count_validated(self):
-        S, y = OBSERVATIONS[0]
-        for n_starts in (0, 17):
-            with pytest.raises(ValueError, match="n_starts"):
-                fit_gp_hyperparams(S, y, n_starts=n_starts)
-
     def test_bit_identical_to_one_start_at_a_time(self):
         sets = OBSERVATIONS + bo_observations()
         assert {S.shape[1] for S, _ in sets} == {2, 3}
@@ -471,58 +493,59 @@ class TestFitGpHyperparams:
     def test_init_none_is_the_sixteen_start_fit(self):
         for S, y in OBSERVATIONS:
             amp, ls = fit_gp_hyperparams(S, y)
-            for kwargs in ({"init": None}, {"n_starts": 16, "init": None}):
-                amp_none, ls_none = fit_gp_hyperparams(S, y, **kwargs)
-                assert amp_none == amp
-                assert np.array_equal(ls_none, ls)
+            amp_none, ls_none = fit_gp_hyperparams(S, y, init=None)
+            assert amp_none == amp
+            assert np.array_equal(ls_none, ls)
 
     def test_warm_fits_bit_identical_to_one_start_at_a_time(self):
         fits = bo_fits()
-        warm = [(S, y, kw) for S, y, kw in fits if kw]
-        # every model's first fit is cold, every later one warm with 4 starts
+        warm = [(S, y, kw) for S, y, kw in fits if kw["init"] is not None]
+        # every model's first fit is cold, every later one warm
         assert len(fits) - len(warm) == len(default_search_space().models)
-        assert all(kw["n_starts"] == 4 and kw["init"] is not None for *_, kw in warm)
+        assert all(kw.keys() == {"init"} for *_, kw in fits)
         for S, y, kw in warm:
             assert_fits_match_reference([(S, y)], **kw)
         for S, y in OBSERVATIONS:
-            assert_fits_match_reference([(S, y)], n_starts=4, init=warm_init(S, y))
+            assert_fits_match_reference([(S, y)], init=warm_init(S, y))
 
     def test_warm_start_never_below_its_init(self):
-        # the init start is scored, and a coordinate move is taken only if
-        # it improves, so the fit ends at or above the clipped init
+        # every scored start competes for the win, and a coordinate move is
+        # taken only if it improves, so a fit, cold or warm, ends at or above
+        # the initial value of every start it scores: the 16 fixed starts and
+        # the clipped init. On these inputs a fit that refined the init and
+        # only the first three fixed starts ended up to 5.3 nats lower.
+        cases = [(S, y, kw["init"]) for S, y, kw in bo_fits()]
         for S, y in OBSERVATIONS:
             d = S.shape[1]
             var, ptp = float(np.var(y)), np.ptp(S, axis=0)
-            amp_lo, amp_hi, ls_lo, ls_hi = var * 1e-3, var * 1e3, ptp * 1e-3, ptp * 1e3
             inits = [
+                None,
                 warm_init(S, y),
                 (var * 10.0, ptp * 0.05),
                 (var * 1e-6, np.full(d, 1e6)),  # clipped on every coordinate
                 (var * 1e5, ptp * np.linspace(1e-5, 1.0, d)),
             ]
-            for a0, ls0 in inits:
-                amp, ls = fit_gp_hyperparams(S, y, n_starts=4, init=(a0, ls0))
-                floor = oracle_lml(S, y, np.clip(a0, amp_lo, amp_hi), np.clip(ls0, ls_lo, ls_hi))
-                got = oracle_lml(S, y, amp, ls)
-                assert np.isfinite(got)
-                assert got >= floor - 1e-9 * max(1.0, abs(floor))
+            cases += [(S, y, init) for init in inits]
+        for S, y, init in cases:
+            amp, ls = fit_gp_hyperparams(S, y, init=init)
+            floor = best_start_lml(S, y, init)
+            got = oracle_lml(S, y, amp, ls)
+            assert np.isfinite(got)
+            assert got >= floor - 1e-9 * max(1.0, abs(floor))
 
-    # start counts that are no power of 2 slice the fixed 16 starts, so no
-    # Sobol balance warning comes up
+    # 16 fixed Sobol points, a power of 2, raise no Sobol balance warning
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("starts_per_call", [1, 3])
     def test_bit_identical_in_small_chunks(self, monkeypatch, starts_per_call):
-        # 1: every start scored alone; 3: 16 starts end on a partial chunk
-        for S, y in OBSERVATIONS:
-            t = S.shape[0]
-            monkeypatch.setattr(search, "_LML_BUDGET", starts_per_call * 9 * (t + 1) ** 2)
-            assert_fits_match_reference([(S, y)])
-            assert_fits_match_reference([(S, y)], n_starts=4, init=warm_init(S, y))
-        # the first n fixed starts are the same for every n, so the winner
-        # among them checks each start's own search, the last one included
-        S, y = OBSERVATIONS[1]
-        for n_starts in range(1, 17):
-            assert_fits_match_reference([(S, y)], n_starts=n_starts)
+        # 1: every start scored alone; 3: 16 and 17 starts end on a partial
+        # chunk. With 17 refined starts, every start runs its own search.
+        for refined in (search._REFINED_STARTS, 17):
+            monkeypatch.setattr(search, "_REFINED_STARTS", refined)
+            for S, y in OBSERVATIONS:
+                t = S.shape[0]
+                monkeypatch.setattr(search, "_LML_BUDGET", starts_per_call * 9 * (t + 1) ** 2)
+                assert_fits_match_reference([(S, y)])
+                assert_fits_match_reference([(S, y)], init=warm_init(S, y))
         # initial values in chunks of 5 (5, 5, 5, 1), candidates one start a call
         S, y = OBSERVATIONS[-1]
         monkeypatch.setattr(search, "_LML_BUDGET", 5 * (S.shape[0] + 1) ** 2)
@@ -537,9 +560,11 @@ class TestFitGpHyperparams:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", no_batches)
-        for S, y in OBSERVATIONS[1::2]:
-            assert_fits_match_reference([(S, y)])
-            assert_fits_match_reference([(S, y)], n_starts=4, init=warm_init(S, y))
+        for refined in (search._REFINED_STARTS, 17):
+            monkeypatch.setattr(search, "_REFINED_STARTS", refined)
+            for S, y in OBSERVATIONS[1::2]:
+                assert_fits_match_reference([(S, y)])
+                assert_fits_match_reference([(S, y)], init=warm_init(S, y))
 
     def test_memory_ceiling(self):
         # 16 starts stacked at once would peak at about 3 MB here; the entry

@@ -26,7 +26,7 @@ from .kmeans import Partition
 from .linalg import unit_columns
 from .metrics import clustering_accuracy, nmi
 from .netembed import NetConfig, landmark_cluster
-from .search import BO_INIT_DESIGN, bo_search, default_search_space, grid_search
+from .search import BO_INIT_DESIGN, SEARCH_MAX_N, bo_search, default_search_space, grid_search
 
 
 def build_parser():
@@ -103,6 +103,9 @@ def run_cli(argv):
         return 2
     if 0 < args.landmarks <= args.k:
         print(f"error: --landmarks must be 0 or at least k + 1 = {args.k + 1}", file=sys.stderr)
+        return 2
+    if args.landmarks > SEARCH_MAX_N:
+        print(f"error: --landmarks must be at most {SEARCH_MAX_N}, the search's point limit", file=sys.stderr)
         return 2
     try:
         return _run(args)

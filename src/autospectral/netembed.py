@@ -17,7 +17,7 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .kmeans import kmeans, kmeans_centers
 from .linalg import check_finite, unit_columns
-from .search import bo_search, grid_search
+from .search import SEARCH_MAX_N, bo_search, grid_search
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -206,12 +206,17 @@ def landmark_cluster(
 ):
     """Landmark search + learned embedding for datasets too large to search directly.
 
-    The centers of one k-means run stand in as landmarks (re-normalized to
-    unit columns, which the search pipeline expects): they summarise X for
-    the search, so restarts that only lower the inertia are not worth their
-    cost. The candidate search runs on the landmarks; the network learns
-    landmark -> embedding, in batches of at most ``n_landmarks`` columns, and
-    is applied to all of X; k-means on the result gives the final partition.
+    The centers of one short k-means run (``kmeans_centers``: k-means++
+    seeded from a subsample, then a few Lloyd steps on all of X) stand in as
+    landmarks, re-normalized to unit columns, which the search pipeline
+    expects: they summarise X for the search, so steps and restarts that
+    only lower the inertia are not worth their cost. The candidate search
+    runs on the landmarks; the network learns landmark -> embedding, in
+    batches of at most ``n_landmarks`` columns, and is applied to all of X;
+    k-means on the result gives the final partition.
+
+    ``n_landmarks`` must be in [k + 1, n) and at most ``SEARCH_MAX_N``; it is
+    checked before the landmark k-means runs.
 
     Returns
     -------
@@ -221,6 +226,11 @@ def landmark_cluster(
     n = X.shape[1]
     if not (k + 1 <= n_landmarks < n):
         raise ValueError(f"need k + 1 <= n_landmarks < n (got {n_landmarks}, n={n})")
+    if n_landmarks > SEARCH_MAX_N:
+        raise ValueError(
+            f"a search holds dense n x n arrays and takes at most {SEARCH_MAX_N} points "
+            f"(got n_landmarks={n_landmarks})"
+        )
     if mode not in ("grid", "bo"):
         raise ValueError("mode must be 'grid' or 'bo'")
     landmarks = unit_columns(kmeans_centers(X, n_landmarks, seed=seed))

@@ -158,6 +158,15 @@ class TestUsageErrors:
         assert "--landmarks" in err and "k + 1 = 4" in err
         assert not out.exists()
 
+    def test_landmarks_above_search_ceiling_rejected_before_any_work(self, tmp_path, capsys):
+        # the data file does not exist: the flags are checked before it is read
+        out = tmp_path / "x"
+        flags = {"--landmarks": search.SEARCH_MAX_N + 1}
+        assert run_cli(base_args(tmp_path / "nope.csv", out, **flags)) == 2
+        err = capsys.readouterr().err
+        assert "--landmarks" in err and f"at most {search.SEARCH_MAX_N}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [0, 5])
     def test_landmarks_at_or_above_point_count_rejected_before_output(self, subspace_csv, tmp_path, capsys, extra):
         plain, _, n = subspace_csv

@@ -144,13 +144,46 @@ class TestCenters:
             tracemalloc.stop()
         assert peak < 7e6
 
-    def test_one_run_from_the_first_spawned_stream(self):
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((3, 80))
+    def test_reads_f_ordered_x_in_place(self):
+        # X dominates this shape: a copy of it alone would be X.nbytes
+        X = np.random.default_rng(12).standard_normal((6000, 200)).T
+        before = X.copy()
+        tracemalloc.start()
+        try:
+            kmeans_centers(X, 50, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
+        assert np.array_equal(X, before)
+
+    @pytest.mark.parametrize("n, k", [(400, 6), (40, 5), (60, 6)], ids=["subsample", "all-rows", "10k-equals-n"])
+    def test_matches_reference_rule(self, n, k):
+        data = np.random.default_rng([n, k])
+        X = data.standard_normal((3, n)) + 2.0 * data.integers(0, 4, size=(1, n))
         for seed in (0, 11):
-            child = np.random.SeedSequence(seed).spawn(1)[0]
-            _, centers, _, _ = lloyd_iterations(X.T.copy(), 5, np.random.default_rng(child))
-            assert np.array_equal(kmeans_centers(X, 5, seed=seed), centers.T)
+            np.testing.assert_allclose(
+                kmeans_centers(X, k, seed=seed), _ref_centers(X, k, seed, 5)[1].T, rtol=0, atol=1e-12
+            )
+            for max_iters in (1, 2, 5, 300):
+                rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+                labels, centers, inertia, history = lloyd_iterations(
+                    X.T.copy(), k, rng, max_iters, seed_rows=10 * k
+                )
+                ref_labels, ref_centers, ref_inertia, ref_history = _ref_centers(X, k, seed, max_iters)
+                assert np.array_equal(labels, ref_labels)
+                np.testing.assert_allclose(centers, ref_centers, rtol=0, atol=1e-12)
+                # one inertia per Lloyd step plus the final one
+                assert history == ref_history
+                assert history[-1] == inertia == ref_inertia
+
+    def test_lloyd_steps_capped(self):
+        # Lloyd needs more than 5 steps here, so the default cap binds
+        X = np.random.default_rng(13).standard_normal((2, 600))
+        assert len(_ref_centers(X, 20, 0, 300)[3]) > 7
+        _, ref_centers, _, ref_history = _ref_centers(X, 20, 0, 5)
+        assert len(ref_history) == 6
+        np.testing.assert_allclose(kmeans_centers(X, 20, seed=0), ref_centers.T, rtol=0, atol=1e-12)
 
 
 def test_partition_from_labels_contiguous():
@@ -206,8 +239,8 @@ def _ref_assign(P, centers, k):
     return labels, mind2
 
 
-def _ref_lloyd(P, k, rng, max_iters=300, tol=1e-6):
-    centers = _ref_kmeanspp(P, k, rng)
+def _ref_lloyd(P, k, rng, max_iters=300, tol=1e-6, seed_points=None):
+    centers = _ref_kmeanspp(P if seed_points is None else seed_points, k, rng)
     history = []
     for _ in range(max_iters):
         labels, mind2 = _ref_assign(P, centers, k)
@@ -224,6 +257,17 @@ def _ref_lloyd(P, k, rng, max_iters=300, tol=1e-6):
     labels, mind2 = _ref_assign(P, centers, k)
     history.append(float(mind2.sum()))
     return labels, centers, float(mind2.sum()), history
+
+
+def _ref_centers(X, k, seed, max_iters):
+    """Landmark k-means written out: k-means++ on min(n, 10 k) columns of X
+    drawn without replacement from the first spawned stream of ``seed``,
+    then at most ``max_iters`` Lloyd steps on all columns."""
+    P = X.T.copy()
+    n = P.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    seed_points = P if 10 * k >= n else P[rng.choice(n, 10 * k, replace=False)]
+    return _ref_lloyd(P, k, rng, max_iters, seed_points=seed_points)
 
 
 def _duplicates(rng, m):

@@ -19,7 +19,7 @@ from autospectral.netembed import (
     net_loss_and_grad,
     net_train,
 )
-from autospectral.search import ModelSpec, SearchSpace, default_search_space
+from autospectral.search import SEARCH_MAX_N, ModelSpec, SearchSpace, default_search_space
 from autospectral.synthetic import random_subspaces
 
 
@@ -330,6 +330,14 @@ class TestLandmarkPipeline:
         monkeypatch.setattr(netembed, "kmeans_centers", lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match="mode must be"):
             landmark_cluster(X, 2, default_search_space(), 10, NetConfig(), mode="random")
+        assert calls == []
+
+    def test_landmarks_above_search_ceiling_rejected_before_landmark_kmeans(self, monkeypatch):
+        X = np.random.default_rng(0).standard_normal((3, SEARCH_MAX_N + 50))
+        calls = []
+        monkeypatch.setattr(netembed, "kmeans_centers", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=f"at most {SEARCH_MAX_N} points"):
+            landmark_cluster(X, 2, default_search_space(), SEARCH_MAX_N + 1, NetConfig())
         assert calls == []
 
     def test_small_end_to_end(self):

@@ -14,8 +14,8 @@ from scipy.stats import spearmanr
 import autospectral
 from autospectral import linalg, search
 from autospectral.affinity import CandidateConfig, KernelSpec, build_coefficients, postprocess_affinity
-from autospectral.errors import NumericalError, SearchFailedError
-from autospectral.kmeans import Partition
+from autospectral.errors import DegenerateCandidateError, NumericalError, SearchFailedError
+from autospectral.kmeans import Partition, kmeans
 from autospectral.metrics import clustering_accuracy
 from autospectral.search import (
     ModelSpec,
@@ -890,7 +890,6 @@ class TestGridSearch:
         res = grid_search(X, 3, default_search_space(), seed=0)
         truth = Partition(labels=labels, k=3)
         regs, accs = [], []
-        from autospectral.kmeans import kmeans
         from autospectral.spectra import spectral_embedding
 
         for s in res.scores:
@@ -958,6 +957,49 @@ class TestGridSearch:
             ("kernel_direct", None),
             ("kernel_direct", None),
         ]
+
+
+class TestWinnerFallback:
+    """When the best candidate's spectral embedding is degenerate, the next
+    candidate in (objective desc, index) order wins and no score changes."""
+
+    SPACE = SearchSpace(models=SCORED_MODELS, lambdas=(0.1, 1.0), taus=(5, 9, 13))
+
+    def run(self, driver, X, threads):
+        if driver == "grid":
+            return grid_search(X, 3, self.SPACE, seed=0, threads=threads)
+        return bo_search(X, 3, self.SPACE, budget_per_model=9, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("driver", ["grid", "bo"])
+    def test_degenerate_top_embedding_falls_back(self, monkeypatch, driver, threads):
+        X, _ = subspace_data(seed=11, noise=0.05)
+        clean = self.run(driver, X, threads)
+        order = sorted(range(len(clean.scores)), key=lambda i: (-clean.scores[i].reg, i))
+        top, runner_up = (clean.scores[i] for i in order[:2])
+        assert clean.winner is top and np.isfinite(runner_up.reg)
+        # the patched embedding knows the top candidate by its sigmas alone
+        valid = [s for s in clean.scores if s.spectrum is not None]
+        assert sum(np.array_equal(s.spectrum.sigmas, top.spectrum.sigmas) for s in valid) == 1
+        real = search.spectral_embedding
+
+        def embed(spectrum):
+            if np.array_equal(spectrum.sigmas, top.spectrum.sigmas):
+                raise DegenerateCandidateError("a point has zero spectral coordinates")
+            return real(spectrum)
+
+        monkeypatch.setattr(search, "spectral_embedding", embed)
+        res = self.run(driver, X, threads)
+        assert res.winner.config == runner_up.config
+        assert [s.config for s in res.scores] == [s.config for s in clean.scores]
+        assert [s.reg for s in res.scores] == [s.reg for s in clean.scores]
+        for got, want in zip(res.scores, clean.scores):
+            assert (got.spectrum is None) == (want.spectrum is None)
+            if want.spectrum is not None:
+                assert np.array_equal(got.spectrum.sigmas, want.spectrum.sigmas)
+        Z = real(evaluate_candidate(X, 3, runner_up.config, seed=0).spectrum)
+        assert np.array_equal(res.embedding, Z)
+        assert np.array_equal(res.partition.labels, kmeans(Z, 3, seed=0).labels)
 
 
 class TestBoSearch:

@@ -93,7 +93,12 @@ def default_search_space():
 @dataclass(frozen=True)
 class CandidateScore:
     """A scored candidate; reg is -inf (and spectrum None) when degenerate,
-    and ``degenerate_reason`` then holds the DegenerateError message."""
+    and ``degenerate_reason`` then holds the DegenerateError message.
+
+    ``evaluate_candidate`` returns the spectrum with its eigenvectors. In a
+    search's scores only the winner keeps them; every other valid candidate
+    keeps its sigmas and holds ``vectors=None``.
+    """
 
     config: CandidateConfig
     reg: float
@@ -107,6 +112,10 @@ def _degenerate(config, exc):
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Every candidate's score, in model order and each model's evaluation
+    order, and the clustered winner: its spectral embedding and partition.
+    Of all the scores, only ``winner`` holds eigenvectors."""
+
     scores: list[CandidateScore]
     winner: CandidateScore
     embedding: np.ndarray = field(repr=False)
@@ -169,23 +178,68 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
 
 
 def _score_taus(X, k, configs, seed, eps):
-    """Score the candidates ``configs``, which differ only in tau, from one
-    coefficient matrix and one partition of its columns for every tau. The
-    matrix is freed before any tau is scored."""
+    """Yield the scores of the candidates ``configs``, which differ only in
+    tau, from one coefficient matrix and one partition of its columns for
+    every tau. The matrix is freed before any tau is scored."""
     try:
         columns = column_thresholds(build_coefficients(X, configs[0], seed=seed), [c.tau for c in configs])
     except DegenerateError as exc:
-        return [_degenerate(config, exc) for config in configs]
-    return [_score(columns, config, k, seed, eps) for config in configs]
+        for config in configs:
+            yield _degenerate(config, exc)
+        return
+    for config in configs:
+        yield _score(columns, config, k, seed, eps)
+
+
+def _released(score):
+    """``score`` without its eigenvectors; its sigmas stay."""
+    if score.spectrum is None or score.spectrum.vectors is None:
+        return score
+    return replace(score, spectrum=replace(score.spectrum, vectors=None))
+
+
+class _Keeper:
+    """One model's scores in evaluation order, with eigenvectors only on the
+    model's best embeddable candidate so far (``best``, an index into
+    ``scores``), whose objective and spectral embedding it holds.
+
+    Embeddable means ``spectral_embedding`` does not raise. A candidate
+    displaces the kept one only with a strictly higher objective, so ties
+    keep the earliest; every other candidate is released as it arrives.
+    """
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.scores = []
+        self.best = None
+        self.objective = float("-inf")
+        self.embedding = None
+
+    def add(self, score):
+        objective = _objective(score, self.kind)
+        if objective > self.objective:
+            try:
+                Z = spectral_embedding(score.spectrum)
+            except DegenerateError:
+                Z = None
+            if Z is not None:
+                if self.best is not None:
+                    self.scores[self.best] = _released(self.scores[self.best])
+                self.best, self.objective, self.embedding = len(self.scores), objective, Z
+                self.scores.append(score)
+                return
+        self.scores.append(_released(score))
 
 
 def _search(X, k, models, seed, score, threads, score_model):
     """The frame both drivers share: check the input, score each model's
-    candidates with ``score_model(X, model, child, approx_rank)``, which gets
-    the model's own child of ``seed``, and cluster the winner.
+    candidates with ``score_model(X, model, child, approx_rank, keep)``,
+    which gets the model's own child of ``seed`` and passes each
+    CandidateScore to ``keep``, and cluster the winner.
 
-    The models are self-contained, so ``threads > 1`` runs them concurrently
-    without changing any result. The scores keep model order.
+    Each model gets its own ``_Keeper``, so ``threads > 1`` runs the models
+    concurrently without sharing state or changing any result. The scores
+    keep model order.
     """
     if score not in SCORE_KINDS:
         raise ValueError(f"score must be one of {SCORE_KINDS}")
@@ -194,31 +248,32 @@ def _search(X, k, models, seed, score, threads, score_model):
     pairs = list(zip(models, np.random.SeedSequence(seed).spawn(len(models))))
 
     def run(pair):
-        return score_model(X, *pair, approx)
+        keeper = _Keeper(score)
+        score_model(X, *pair, approx, keeper.add)
+        return keeper
 
     if threads > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(pairs))) as pool:
-            per_model = list(pool.map(run, pairs))
+            keepers = list(pool.map(run, pairs))
     else:
-        per_model = [run(p) for p in pairs]
-    return _finish(k, [s for scores in per_model for s in scores], seed, score)
+        keepers = [run(p) for p in pairs]
+    return _finish(k, keepers, seed)
 
 
-def _finish(k, scores, seed, kind):
-    order = sorted(range(len(scores)), key=lambda i: (-_objective(scores[i], kind), i))
-    for i in order:
-        winner = scores[i]
-        if winner.spectrum is None:
-            break
-        try:
-            Z = spectral_embedding(winner.spectrum)
-        except DegenerateError:
-            continue
-        partition = kmeans(Z, k, seed=seed)
-        return SearchResult(scores=scores, winner=winner, embedding=Z, partition=partition)
-    raise SearchFailedError(
-        "every candidate was degenerate", candidates=[s.config for s in scores]
-    )
+def _finish(k, keepers, seed):
+    """Cluster the best of the models' kept candidates: the highest
+    objective, and on ties the first model's, which has the lowest index.
+    The other models' kept candidates release their eigenvectors."""
+    kept = [keeper for keeper in keepers if keeper.best is not None]
+    if not kept:
+        raise SearchFailedError(
+            "every candidate was degenerate", candidates=[s.config for kp in keepers for s in kp.scores]
+        )
+    best = max(kept, key=lambda keeper: keeper.objective)
+    winner = best.scores[best.best]
+    scores = [s if s is winner else _released(s) for keeper in keepers for s in keeper.scores]
+    partition = kmeans(best.embedding, k, seed=seed)
+    return SearchResult(scores=scores, winner=winner, embedding=best.embedding, partition=partition)
 
 
 def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):
@@ -231,15 +286,14 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):
     first candidate in model -> lambda -> tau order.
     """
 
-    def model_scores(X, model, child, approx):
-        scores = []
+    def model_scores(X, model, child, approx, keep):
         for lam in space.lambdas if model.uses_lambda else (1.0,):
             configs = [
                 CandidateConfig(model=model.name, tau=tau, lam=lam, kernel=model.kernel, approx_rank=approx)
                 for tau in space.taus
             ]
-            scores.extend(_score_taus(X, k, configs, seed, eps))
-        return scores
+            for cs in _score_taus(X, k, configs, seed, eps):
+                keep(cs)
 
     return _search(X, k, space.models, seed, score, threads, model_scores)
 
@@ -591,9 +645,9 @@ def _maximize_ei(post, g_min, sobol):
 BO_INIT_DESIGN = 8
 
 
-def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx):
-    """Sequential BO loop for one model; returns its CandidateScores in
-    evaluation order.
+def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx, keep):
+    """Sequential BO loop for one model; passes each CandidateScore to
+    ``keep`` as it is evaluated.
 
     Each step refits the GP hyperparameters to all evaluations so far.
     Every fit after the model's first also scores the previous fit's optimum
@@ -607,7 +661,6 @@ def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx
 
     sobol = qmc.Sobol(len(dims), scramble=True, seed=np.random.default_rng(child))
 
-    scores = []
     U = []
     g_gp = []
 
@@ -615,8 +668,8 @@ def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx
         values = lo + np.asarray(u) * (hi - lo)
         config = _config_from_values(model, dims, values, n, approx)
         cs = evaluate_candidate(X, k, config, seed=seed, eps=eps)
-        scores.append(cs)
         g = -_objective(cs, score)
+        keep(cs)
         if not np.isfinite(g):
             # degenerate: a penalized finite value keeps the GP usable
             finite = [v for v in g_gp if np.isfinite(v)]
@@ -635,7 +688,6 @@ def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx
         post = _Posterior(S, yv, amplitude, lengthscales, float(np.mean(yv)))
         u_next = _maximize_ei(post, float(np.min(yv)), sobol)
         evaluate(u_next)
-    return scores
 
 
 def bo_search(X, k, space, budget_per_model=30, seed=0, eps=1e-6, score="reg", threads=1):
@@ -653,7 +705,7 @@ def bo_search(X, k, space, budget_per_model=30, seed=0, eps=1e-6, score="reg", t
             f"(got {budget_per_model})"
         )
 
-    def model_scores(X, model, child, approx):
-        return _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx)
+    def model_scores(X, model, child, approx, keep):
+        _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx, keep)
 
     return _search(X, k, space.models, seed, score, threads, model_scores)

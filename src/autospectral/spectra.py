@@ -24,12 +24,14 @@ class LaplacianSpectrum:
     """The k+1 smallest normalized-Laplacian eigenvalues and k eigenvectors.
 
     ``sigmas`` is ascending with values in [0, 2]; ``vectors`` is n x k with
-    orthonormal columns (eigenvectors for the k smallest eigenvalues).
+    orthonormal columns (eigenvectors for the k smallest eigenvalues), or
+    None once a search has released them: a search keeps them only for its
+    winner.
     """
 
     k: int
     sigmas: np.ndarray
-    vectors: np.ndarray = field(repr=False)
+    vectors: np.ndarray | None = field(repr=False)
 
 
 def laplacian_spectrum(graph, k, seed=0):
@@ -81,9 +83,18 @@ def spectral_embedding(spectrum):
 
     Raises
     ------
+    ValueError
+        If the spectrum holds no eigenvectors: a search releases them for
+        every candidate but its winner, and ``search.evaluate_candidate``
+        derives them again from the candidate's config.
     DegenerateCandidateError
         If some point has an all-zero eigenvector coordinate row.
     """
+    if spectrum.vectors is None:
+        raise ValueError(
+            "spectrum holds no eigenvectors: a search keeps them only for its winner; "
+            "evaluate_candidate derives a candidate's again"
+        )
     Z = spectrum.vectors.T.copy()
     norms = np.linalg.norm(Z, axis=0)
     if np.any(norms == 0.0):

@@ -26,7 +26,7 @@ from autospectral.dataio import load_idx
 from autospectral.kmeans import Partition, kmeans
 from autospectral.metrics import clustering_accuracy, mncut, nmi, partition_distance
 from autospectral.netembed import NetConfig, landmark_cluster, net_loss_and_grad
-from autospectral.search import bo_search, default_search_space, grid_search
+from autospectral.search import bo_search, default_search_space, evaluate_candidate, grid_search
 from autospectral.spectra import laplacian_spectrum, spectral_embedding
 from autospectral.synthetic import random_poly_curves, random_subspaces
 
@@ -139,18 +139,29 @@ def test_04_synthetic_end_to_end(grid_runs):
     t0 = time.perf_counter()
     accs = []
     pooled_reg, pooled_acc = [], []
+    mismatched = 0
     for seed, (X, truth, result) in runs.items():
         accs.append(clustering_accuracy(result.partition, truth))
         for s in result.scores:
             if s.spectrum is None:
                 continue
-            Z = spectral_embedding(s.spectrum)
+            # a search keeps only its winner's eigenvectors: each candidate's
+            # come again from evaluate_candidate, whose sigmas and reg must
+            # be the search's bit for bit
+            derived = evaluate_candidate(X, 3, s.config, seed=seed)
+            mismatched += derived.reg != s.reg or not np.array_equal(derived.spectrum.sigmas, s.spectrum.sigmas)
+            Z = spectral_embedding(derived.spectrum)
             pooled_acc.append(clustering_accuracy(kmeans(Z, 3, seed=seed), truth))
             pooled_reg.append(s.reg)
     rho = float(spearmanr(pooled_reg, pooled_acc).statistic)
     elapsed = fixture_elapsed + (time.perf_counter() - t0)
-    ok = all(a == 1.0 for a in accs) and rho >= 0.5 and elapsed < 30.0
-    report(4, ok, f"accuracy={min(accs):.3f}..{max(accs):.3f} (10 seeds), spearman={rho:.3f}, {elapsed:.1f}s")
+    ok = all(a == 1.0 for a in accs) and rho >= 0.5 and mismatched == 0 and elapsed < 30.0
+    report(
+        4,
+        ok,
+        f"accuracy={min(accs):.3f}..{max(accs):.3f} (10 seeds), spearman={rho:.3f}, "
+        f"{mismatched} re-derived spectra differ, {elapsed:.1f}s",
+    )
 
 
 def test_05_bo_parity(grid_runs):

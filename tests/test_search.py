@@ -33,7 +33,7 @@ from autospectral.search import (
     fit_gp_hyperparams,
     grid_search,
 )
-from autospectral.spectra import laplacian_spectrum, relative_eigen_gap
+from autospectral.spectra import laplacian_spectrum, relative_eigen_gap, spectral_embedding
 from autospectral.synthetic import random_subspaces
 from conftest import sorted_postprocess, sparse_laplacian_spectrum, ties_at_threshold
 
@@ -733,7 +733,14 @@ class TestScoringMatchesSortedPipeline:
         space = SearchSpace(models=SCORED_MODELS, lambdas=(0.01, 1.0), taus=(1, 4, 9, 15))
         res = grid_search(X, 3, space, seed=0, threads=threads)
         assert len(res.scores) == 20
-        assert_scores_match_sorted(X, 3, res.scores)
+        # only the winner keeps its vectors: every candidate's are derived
+        # again alone, with the grid's sigmas and reg bit for bit
+        derived = [evaluate_candidate(X, 3, s.config) for s in res.scores]
+        for got, want in zip(res.scores, derived):
+            assert got.reg == want.reg
+            assert np.array_equal(got.spectrum.sigmas, want.spectrum.sigmas)
+        assert_scores_match_sorted(X, 3, derived)
+        assert_scores_match_sorted(X, 3, [res.winner])
 
 
 class TestMemoryCeiling:
@@ -890,12 +897,14 @@ class TestGridSearch:
         res = grid_search(X, 3, default_search_space(), seed=0)
         truth = Partition(labels=labels, k=3)
         regs, accs = [], []
-        from autospectral.spectra import spectral_embedding
-
         for s in res.scores:
             if s.spectrum is None:
                 continue
-            Z = spectral_embedding(s.spectrum)
+            # the search keeps only the winner's vectors; derive each again
+            derived = evaluate_candidate(X, 3, s.config, seed=0)
+            assert derived.reg == s.reg
+            assert np.array_equal(derived.spectrum.sigmas, s.spectrum.sigmas)
+            Z = spectral_embedding(derived.spectrum)
             accs.append(clustering_accuracy(kmeans(Z, 3, seed=0), truth))
             regs.append(s.reg)
         rho = spearmanr(regs, accs).statistic
@@ -959,9 +968,9 @@ class TestGridSearch:
         ]
 
 
-class TestWinnerFallback:
-    """When the best candidate's spectral embedding is degenerate, the next
-    candidate in (objective desc, index) order wins and no score changes."""
+class TestWinner:
+    """The winner is the first embeddable candidate in (objective desc,
+    index) order, and it alone keeps its eigenvectors."""
 
     SPACE = SearchSpace(models=SCORED_MODELS, lambdas=(0.1, 1.0), taus=(5, 9, 13))
 
@@ -1000,6 +1009,32 @@ class TestWinnerFallback:
         Z = real(evaluate_candidate(X, 3, runner_up.config, seed=0).spectrum)
         assert np.array_equal(res.embedding, Z)
         assert np.array_equal(res.partition.labels, kmeans(Z, 3, seed=0).labels)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("driver", ["grid", "bo"])
+    def test_only_the_winner_keeps_vectors(self, driver, threads):
+        X, _ = subspace_data(seed=11, noise=0.05)
+        res = self.run(driver, X, threads)
+        kept = [s for s in res.scores if s.spectrum is not None and s.spectrum.vectors is not None]
+        assert kept == [res.winner] and kept[0] is res.winner
+        assert np.array_equal(res.embedding, spectral_embedding(res.winner.spectrum))
+        want = evaluate_candidate(X, 3, res.winner.config, seed=0).spectrum
+        assert np.array_equal(res.winner.spectrum.vectors, want.vectors)
+        released = next(s for s in res.scores if s is not res.winner and s.spectrum is not None)
+        with pytest.raises(ValueError, match="no eigenvectors"):
+            spectral_embedding(released.spectrum)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_ties_go_to_the_first_candidate(self, threads):
+        # two copies of one model, each with two taus that keep every entry:
+        # four candidates with one graph, so four equal objectives
+        X, _ = subspace_data(seed=12)
+        n = X.shape[1]
+        space = SearchSpace(models=(ModelSpec("lsr"), ModelSpec("lsr")), lambdas=(0.1,), taus=(n - 1, n))
+        res = grid_search(X, 3, space, seed=0, threads=threads)
+        assert len({s.reg for s in res.scores}) == 1
+        assert res.winner is res.scores[0]
+        assert all(s.spectrum.vectors is None for s in res.scores[1:])
 
 
 class TestBoSearch:

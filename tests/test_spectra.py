@@ -124,6 +124,11 @@ class TestSpectralEmbedding:
         with pytest.raises(DegenerateCandidateError):
             spectral_embedding(s)
 
+    def test_released_vectors_raise_a_clear_error(self):
+        s = LaplacianSpectrum(k=2, sigmas=np.zeros(3), vectors=None)
+        with pytest.raises(ValueError, match="no eigenvectors.*evaluate_candidate"):
+            spectral_embedding(s)
+
 
 class TestCutClaims:
     def test_lower_bound_by_smallest_eigenvalue_sum(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -50,16 +51,35 @@ def _read_table(path, labels_last_column):
     and no quoting. Each cell equals ``float(cell)`` bit for bit, but the
     reader rejects two spellings ``float`` accepts: a line of only whitespace
     and ``_`` digit groups. Only when it rejects the file or finds no data
-    does a second pass look for the line at fault.
+    does a second pass look for the line at fault, starting from the row
+    the reader's message names.
     """
+    hint = None
     try:
         data = _loadtxt(path)
-    except ValueError:
-        data = None
+    except ValueError as exc:
+        data, hint = None, _rejected_row(str(exc))
     if data is None or data.size == 0:
-        _raise_at_first_rejected_line(path, labels_last_column)
+        _raise_at_first_rejected_line(path, labels_last_column, hint)
         raise DataFormatError(f"numpy's reader rejected {path} at no line")
     return data
+
+
+# numpy's reader names the data row it rejected (empty lines not counted):
+# from 0 for a cell it cannot convert, from 1 for a changed column count
+_ROW_IN_MESSAGE = (
+    (re.compile(r"at row (\d+), column \d+\.$"), 0),
+    (re.compile(r"number of columns changed from \d+ to \d+ at row (\d+)"), 1),
+)
+
+
+def _rejected_row(message):
+    """The 0-based data row that numpy's reader names in ``message``, or None."""
+    for pattern, first in _ROW_IN_MESSAGE:
+        match = pattern.search(message)
+        if match:
+            return int(match.group(1)) - first
+    return None
 
 
 def _loadtxt(source):
@@ -78,24 +98,33 @@ def _reader_accepts(text):
         return False
 
 
-def _raise_at_first_rejected_line(path, labels_last_column):
+def _raise_at_first_rejected_line(path, labels_last_column, hint=None):
     """Raise DataFormatError at the first line the reader rejects, asking
     the reader itself about each line, and about each field of the line at
-    fault. Keeps no values. Returns only if no line is at fault."""
+    fault. Keeps no values. Returns only if no line is at fault.
+
+    ``hint`` is the 0-based data row the reader's message named. The reader
+    parsed every row before it, so only that row is asked about, which
+    spares a reader call per line; every row's field count is still
+    checked. If that row is not at fault, the scan runs again unhinted.
+    """
     width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line == "\n":
-                continue
+        data_lines = ((lineno, line) for lineno, line in enumerate(fh, start=1) if line != "\n")
+        for row, (lineno, line) in enumerate(data_lines):
             fields = line.rstrip("\n").split(",")
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
                 raise DataFormatError(f"expected {width} fields, got {len(fields)}", line=lineno)
-            if not _reader_accepts(line):
+            if (hint is None or row == hint) and not _reader_accepts(line):
                 bad = next(i for i, f in enumerate(fields) if not _reader_accepts(f))
                 what = "label" if labels_last_column and bad == width - 1 else "cell"
                 raise DataFormatError(f"non-numeric {what}", line=lineno)
+            if row == hint:
+                break
+    if hint is not None:
+        return _raise_at_first_rejected_line(path, labels_last_column)
     if width is None:
         raise DataFormatError(f"no data rows in {path}")
 

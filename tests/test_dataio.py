@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from autospectral import dataio
 from autospectral.dataio import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -200,6 +201,60 @@ class TestCsvReader:
         with pytest.raises(DataFormatError, match=reason) as err:
             load_labels_csv(p)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2\n3,4\n\n5,x\n",
+            "1,2\n\n3,4\n5,6,7\n",
+            "1,2\n3,1_000\n5,6\n",
+            "1,2\n  \n3,4\n",
+            "1,2,\n3,4,\n",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "no row named",
+            "could not convert string 'x' to float64 at row 0, column 1.",
+            "could not convert string 'x' to float64 at row 99, column 1.",
+            "the number of columns changed from 2 to 3 at row 1; use `usecols`",
+            "the number of columns changed from 2 to 3 at row 50; use `usecols`",
+        ],
+    )
+    def test_missing_or_wrong_row_hint_reports_the_same_line(self, monkeypatch, tmp_path, text, message):
+        # the reader's message only hints at the row at fault: with no row
+        # named, or the wrong one, the error is the one a correct hint gives
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as want:
+            load_csv(p)
+        real = dataio._loadtxt
+
+        def reader(source):
+            try:
+                return real(source)
+            except ValueError:
+                if isinstance(source, list):
+                    raise
+                raise ValueError(message) from None
+
+        monkeypatch.setattr(dataio, "_loadtxt", reader)
+        with pytest.raises(DataFormatError) as got:
+            load_csv(p)
+        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+
+    def test_row_hint_spares_the_per_line_reader_calls(self, monkeypatch, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1,2,3\n" * 300 + "\n4,5,x\n")
+        calls = []
+        real = dataio._reader_accepts
+        monkeypatch.setattr(dataio, "_reader_accepts", lambda text: calls.append(text) or real(text))
+        with pytest.raises(DataFormatError, match="non-numeric cell") as err:
+            load_csv(p)
+        assert err.value.line == 302
+        # the line at fault, then its fields up to the bad one
+        assert calls == ["4,5,x\n", "4", "5", "x"]
 
     def test_labels_file_accepts_integral_floats(self, tmp_path):
         p = tmp_path / "labels.csv"

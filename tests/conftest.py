@@ -1,6 +1,15 @@
 """Shared oracles and graph builders for the test suite."""
 
-import numpy as np
+import os
+
+# BLAS reads these when numpy loads, and pytest loads this file before it
+# imports any test module: every test runs BLAS on one thread, as the bench
+# does, so two threads on a core that another process keeps busy cannot
+# push a timing gate over its limit.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import scipy.linalg
 import scipy.sparse as sp
 

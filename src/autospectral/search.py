@@ -221,8 +221,8 @@ class _Keeper:
             try:
                 Z = spectral_embedding(score.spectrum)
             except DegenerateError:
-                Z = None
-            if Z is not None:
+                pass
+            else:
                 if self.best is not None:
                     self.scores[self.best] = _released(self.scores[self.best])
                 self.best, self.objective, self.embedding = len(self.scores), objective, Z
@@ -264,16 +264,21 @@ def _finish(k, keepers, seed):
     """Cluster the best of the models' kept candidates: the highest
     objective, and on ties the first model's, which has the lowest index.
     The other models' kept candidates release their eigenvectors."""
+    scores = [s for keeper in keepers for s in keeper.scores]
     kept = [keeper for keeper in keepers if keeper.best is not None]
     if not kept:
         raise SearchFailedError(
-            "every candidate was degenerate", candidates=[s.config for kp in keepers for s in kp.scores]
+            "every candidate was degenerate", candidates=[s.config for s in scores]
         )
     best = max(kept, key=lambda keeper: keeper.objective)
     winner = best.scores[best.best]
-    scores = [s if s is winner else _released(s) for keeper in keepers for s in keeper.scores]
     partition = kmeans(best.embedding, k, seed=seed)
-    return SearchResult(scores=scores, winner=winner, embedding=best.embedding, partition=partition)
+    return SearchResult(
+        scores=[s if s is winner else _released(s) for s in scores],
+        winner=winner,
+        embedding=best.embedding,
+        partition=partition,
+    )
 
 
 def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):

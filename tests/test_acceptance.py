@@ -146,8 +146,8 @@ def test_04_synthetic_end_to_end(grid_runs):
             if s.spectrum is None:
                 continue
             # a search keeps only its winner's eigenvectors: each candidate's
-            # come again from evaluate_candidate, whose sigmas and reg must
-            # be the search's bit for bit
+            # vectors come again from evaluate_candidate, whose sigmas and reg
+            # must be the search's bit for bit
             derived = evaluate_candidate(X, 3, s.config, seed=seed)
             mismatched += derived.reg != s.reg or not np.array_equal(derived.spectrum.sigmas, s.spectrum.sigmas)
             Z = spectral_embedding(derived.spectrum)

@@ -4,23 +4,46 @@
 The plain gap sigma_{k+1} - sigma_k depends on the scale of the small
 eigenvalues, which moves a lot across models and noise levels; the relative
 form divides that scale out. This script scores both objectives on the same
-candidate grids across noise levels and reports the winner's accuracy.
+candidate grids across noise levels and reports the winner's accuracy. Under
+each noise level it lists, per objective, the winners as (model, lambda,
+tau) with their counts over the seeds, and the share of winners on an edge
+of the grid: at the smallest or largest lambda (for the models that take
+one) or tau.
 
     python scripts/score_ablation.py --noise-levels 0.01 0.05 0.1 0.2
 """
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from autospectral.affinity import LAMBDA_MODELS
 from autospectral.kmeans import Partition
 from autospectral.metrics import clustering_accuracy
 from autospectral.search import default_search_space, grid_search
 from autospectral.synthetic import random_subspaces
+
+
+def on_edge(config, space):
+    """Whether the winner sits at an end of the lambda grid (ridge models
+    only) or of the tau grid."""
+    lam_edge = config.model in LAMBDA_MODELS and config.lam in (min(space.lambdas), max(space.lambdas))
+    return lam_edge or config.tau in (min(space.taus), max(space.taus))
+
+
+def describe(configs, space):
+    counts = Counter((c.model, c.lam if c.model in LAMBDA_MODELS else None, c.tau) for c in configs)
+    winners = ", ".join(
+        f"({model}, {'-' if lam is None else f'{lam:g}'}, {tau}) x{n}"
+        for (model, lam, tau), n in counts.most_common()
+    )
+    edge = sum(on_edge(c, space) for c in configs)
+    return f"{winners}; on an edge: {edge}/{len(configs)}"
 
 
 def main():
@@ -33,6 +56,7 @@ def main():
     print(f"{'noise':>6} {'acc(reg)':>10} {'acc(eg)':>10}")
     for noise in args.noise_levels:
         accs = {"reg": [], "eg": []}
+        winners = {"reg": [], "eg": []}
         for seed in range(args.seeds):
             X, labels = random_subspaces(
                 k=3, ambient_dim=30, intrinsic_dim=3, per_cluster=50, noise_std=noise, seed=seed
@@ -41,9 +65,12 @@ def main():
             for score in ("reg", "eg"):
                 res = grid_search(X, 3, space, seed=seed, score=score)
                 accs[score].append(clustering_accuracy(res.partition, truth))
+                winners[score].append(res.winner.config)
         print(
             f"{noise:6.2f} {np.mean(accs['reg']):10.4f} {np.mean(accs['eg']):10.4f}"
         )
+        for score in ("reg", "eg"):
+            print(f"{'':6} {score} winners: {describe(winners[score], space)}")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ A candidate affinity is built in two stages: a dense coefficient matrix C
 from the data (ridge self-expression, its kernel variant, or a direct kernel
 similarity), then a sparsifying post-process (abs + zero diagonal, per-column
 truncation to the tau largest entries, column l1 normalization, and
-symmetrization) that yields the graph handed to the spectral stage. Both
-ridge models get C from one spectral filter of their Gram matrix
-(``ridge_filter``); they differ only in how they factor it.
+symmetrization) that yields the graph handed to the spectral stage. lsr
+gets C from a spectral filter of its Gram matrix (``ridge_filter``) fed by
+a thin SVD of X. klsr solves with one Cholesky factorization of K + lam I,
+and uses the same filter only on its low-rank path.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import DegenerateCandidateError, DegenerateDataError, NumericalError
 from .linalg import check_finite, randomized_svd
@@ -165,19 +167,35 @@ def lsr_coefficients(X, lam):
     return ridge_filter(s**2, Vt.T, lam)
 
 
+def _mirror_lower(B, block=64):
+    """Copy the lower triangle of the square array B onto its upper one, in
+    place, one block row at a time: no index array and no n x n temporary."""
+    n = len(B)
+    upper = np.tri(min(block, n), k=-1, dtype=bool).T
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        B[lo:hi, hi:] = B[hi:, lo:hi].T
+        D = B[lo:hi, lo:hi]
+        np.copyto(D, D.T, where=upper[: hi - lo, : hi - lo])
+
+
 def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     """Kernel ridge self-expression coefficients C = (K + lam I)^-1 K.
 
-    K is symmetrized, then factored by a full ``eigh``. With ``approx_rank``
-    r, a randomized rank-r range V stands in for the eigenvectors and its
-    Ritz values diag(V' K V) for the eigenvalues, which truncates the filter
-    to the top r pairs.
+    K is symmetrized into Ks, and C = I - lam (Ks + lam I)^-1 comes from one
+    Cholesky factorization and inverse of Ks + lam I, computed in place in
+    Ks. A first factorization of Ks + 1e-8 scale I, in the triangle the
+    second one leaves alone, checks that no eigenvalue of Ks lies below
+    -1e-8 scale. With ``approx_rank`` r, a randomized rank-r range V stands
+    in for the eigenvectors and its Ritz values diag(V' K V) for the
+    eigenvalues, and ``ridge_filter`` truncates the filter to the top r
+    pairs.
 
     Raises
     ------
     NumericalError
         If K is indefinite beyond a 1e-8 tolerance (relative to its scale),
-        or the factorization fails.
+        or a factorization fails.
     """
     K = check_finite(K, "K")
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -185,24 +203,41 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     if lam <= 0:
         raise ValueError("lam must be positive")
     n = K.shape[0]
-    Ks = (K + K.T) / 2.0
-    scale = max(np.max(np.abs(Ks)), 1.0)
+    Ks = np.add(K, K.T, order="C")
+    Ks /= 2.0
+    tol = 1e-8 * max(Ks.max(), -Ks.min(), 1.0)
     # the low-rank path sees no eigenvalue outside its top r pairs; a
     # negative diagonal entry still exposes those
-    if np.min(np.diagonal(Ks)) < -1e-8 * scale:
+    diagonal = Ks.diagonal().copy()
+    if diagonal.min() < -tol:
         raise NumericalError("kernel matrix is indefinite (negative diagonal)")
-    try:
-        if approx_rank is None:
-            w, V = np.linalg.eigh(Ks)
-        else:
-            r = min(approx_rank, n)
+    if approx_rank is not None:
+        r = min(approx_rank, n)
+        try:
             V = randomized_svd(Ks, r, oversample=min(10, n - r), seed=seed).V
-            w = np.einsum("ij,ij->j", V, Ks @ V)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"kernel factorization failed: {exc}") from exc
-    if w.min() < -1e-8 * scale:
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"kernel factorization failed: {exc}") from exc
+        w = np.einsum("ij,ij->j", V, Ks @ V)
+        if w.min() < -tol:
+            raise NumericalError("kernel matrix is indefinite beyond tolerance")
+        return ridge_filter(w, V, lam)
+    # Ks is symmetric, so its transpose is the same matrix in Fortran order,
+    # which LAPACK factors in place; its "lower" triangle is Ks's upper one
+    F = Ks.T
+    Ks.flat[:: n + 1] += tol
+    if lapack.dpotrf(F, lower=1, clean=0, overwrite_a=1)[1] != 0:
         raise NumericalError("kernel matrix is indefinite beyond tolerance")
-    return ridge_filter(w, V, lam)
+    Ks.flat[:: n + 1] = diagonal + lam
+    _, info = lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+        _, info = lapack.dpotri(F, lower=0, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"kernel factorization failed (LAPACK info {info})")
+    # the inverse fills Ks's lower triangle
+    _mirror_lower(Ks)
+    Ks *= -lam
+    Ks.flat[:: n + 1] += 1.0
+    return Ks
 
 
 def build_coefficients(X, config, seed=0):

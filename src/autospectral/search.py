@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .affinity import (
     KERNEL_MODELS,
@@ -130,14 +130,14 @@ def _objective(score, kind):
     return plain_eigen_gap(score.spectrum)
 
 
-# Largest point count a search runs on. A candidate holds up to five dense
-# n x n float64 arrays at once: under tracemalloc at n = 2000,
-# evaluate_candidate peaked at 3.1 n^2 * 8 bytes (lsr, kernel_direct) and
-# 5.0 (klsr, whose eigendecomposition holds the most, and so sets the
-# ceiling), and a one-model lsr grid_search at 3.0. At 10 000 points five
-# arrays are about 4.0 GB, half of an 8 GB host; larger inputs go through
-# the landmark path. With threads > 1, each model that runs concurrently
-# holds its own such arrays.
+# Largest point count a search runs on. Under tracemalloc at n = 2000,
+# evaluate_candidate peaked at 3.1 n^2 * 8 bytes for each of lsr, klsr
+# (whose Cholesky solve works in place in its one copy of K) and
+# kernel_direct, and a one-model lsr grid_search at 3.0. At 10 000 points
+# that is about 2.5 GB; the ceiling stays where five arrays (4.0 GB, half of
+# an 8 GB host) put it until a memory test at a higher ceiling backs a
+# change. Larger inputs go through the landmark path. With threads > 1,
+# each model that runs concurrently holds its own such arrays.
 SEARCH_MAX_N = 10_000
 
 
@@ -205,7 +205,9 @@ class _Keeper:
 
     Embeddable means ``spectral_embedding`` does not raise. A candidate
     displaces the kept one only with a strictly higher objective, so ties
-    keep the earliest; every other candidate is released as it arrives.
+    keep the earliest; every other candidate is released as it arrives. A
+    score that arrives released repeats an earlier candidate, and can top
+    the kept objective only if that candidate was not embeddable.
     """
 
     def __init__(self, kind):
@@ -217,7 +219,7 @@ class _Keeper:
 
     def add(self, score):
         objective = _objective(score, self.kind)
-        if objective > self.objective:
+        if objective > self.objective and score.spectrum.vectors is not None:
             try:
                 Z = spectral_embedding(score.spectrum)
             except DegenerateError:
@@ -308,33 +310,50 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):
 
 
 def _matern_cross(A, B, amplitude, lengthscales):
-    ls = np.asarray(lengthscales, dtype=np.float64)
-    diff = (A[:, None, :] - B[None, :, :]) / ls
+    diff = A[:, None, :] - B[None, :, :]
+    diff /= np.asarray(lengthscales, dtype=np.float64)
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    sq5r = np.sqrt(5.0 * r2)
-    return amplitude * (1.0 + sq5r + (5.0 / 3.0) * r2) * np.exp(-sq5r)
+    # amplitude (1 + sqrt(5 r2) + 5/3 r2) exp(-sqrt(5 r2)), rounded as that
+    # expression is, in place
+    K = np.multiply(r2, 5.0)
+    np.sqrt(K, out=K)
+    E = np.negative(K)
+    np.exp(E, out=E)
+    K += 1.0
+    r2 *= 5.0 / 3.0
+    K += r2
+    K *= amplitude
+    K *= E
+    return K
 
 
 class _Posterior:
     """Factored Matern-5/2 ARD GP posterior for batched queries. The Gram
     matrix of the observations (rows of S) takes a diagonal jitter of 1e-8,
     ten times more after each failed factorization: NumericalError once 1e-2
-    fails too."""
+    fails too. ``chol`` is the lower factor as ``cho_factor`` returns it;
+    the LAPACK calls are the ones ``cho_factor`` and ``cho_solve`` make."""
 
     def __init__(self, S, y, amplitude, lengthscales, prior_mean):
         self.S, self.amplitude, self.lengthscales, self.prior_mean = S, amplitude, lengthscales, prior_mean
+        G = _matern_cross(S, S, amplitude, lengthscales)
         jitter = 1e-8
         while True:
-            K = _matern_cross(S, S, amplitude, lengthscales)
+            K = np.array(G, order="F")
             K.flat[:: K.shape[0] + 1] += jitter
-            try:
-                self.chol = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
+            c, info = lapack.dpotrf(K, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
                 break
-            except np.linalg.LinAlgError as exc:
-                if jitter >= 1e-2:
-                    raise NumericalError(f"GP Gram factorization failed: {exc}") from exc
-                jitter *= 10.0
-        self.alpha = scipy.linalg.cho_solve(self.chol, y - prior_mean, check_finite=False)
+            if jitter >= 1e-2:
+                raise NumericalError(
+                    f"GP Gram factorization failed: {info}-th leading minor is not positive definite"
+                )
+            jitter *= 10.0
+        self.chol = (c, True)
+        self.alpha = self._solve(y - prior_mean)
+
+    def _solve(self, b):
+        return lapack.dpotrs(self.chol[0], b, lower=1)[0]
 
     def predict(self, Q, blocks=1):
         """Posterior mean and variance at the rows of Q.
@@ -351,7 +370,7 @@ class _Posterior:
         mu = self.prior_mean + np.concatenate(
             [kstar[:, lo : lo + size].T @ self.alpha for lo in range(0, len(Q), size)]
         )
-        w = scipy.linalg.cho_solve(self.chol, kstar, check_finite=False)
+        w = self._solve(kstar)
         var = np.maximum(self.amplitude - np.einsum("ij,ij->j", kstar, w), 0.0)
         return mu, var
 
@@ -366,11 +385,17 @@ def expected_improvement(mu, sigma, g_min):
     # which BO loads for its Sobol points, loads scipy.special anyway
     from scipy.special import ndtr
 
-    out = np.maximum(g_min - mu, 0.0)
+    def positive(gain, sigma):
+        z = gain / sigma
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return np.maximum(gain * ndtr(z) + sigma * phi, 0.0)
+
+    gain = g_min - mu
     pos = sigma > 0
-    z = (g_min - mu[pos]) / sigma[pos]
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    out[pos] = np.maximum((g_min - mu[pos]) * ndtr(z) + sigma[pos] * phi, 0.0)
+    if pos.all():
+        return positive(gain, sigma)
+    out = np.maximum(gain, 0.0)
+    out[pos] = positive(gain[pos], sigma[pos])
     return out
 
 
@@ -475,15 +500,15 @@ def fit_gp_hyperparams(S, y, init=None):
     t, d = S.shape
     if t < 2:
         raise ValueError("need at least two observations")
-    ls_default = np.array([max(np.ptp(S[:, j]) / 2.0, 1e-12) for j in range(d)])
-    ls_default[np.ptp(S, axis=0) == 0] = 1.0
+    ptp = np.ptp(S, axis=0)
+    ls_default = np.where(ptp > 0, np.maximum(ptp / 2.0, 1e-12), 1.0)
     if np.ptp(y) == 0.0:
         return 1.0, ls_default
 
     mean = float(np.mean(y))
     r = y - mean
     amp_scale = max(float(np.var(y)), 1e-12)
-    ls_scale = np.where(np.ptp(S, axis=0) > 0, np.ptp(S, axis=0), 1.0)
+    ls_scale = np.where(ptp > 0, ptp, 1.0)
     amp_lo, amp_hi = amp_scale * 1e-3, amp_scale * 1e3
     ls_lo, ls_hi = ls_scale * 1e-3, ls_scale * 1e3
 
@@ -625,15 +650,18 @@ def _maximize_ei(post, g_min, sobol):
     u = cand[order]
     e = ei[order]
     step = np.full(len(order), 0.1)
+    # row 2j of a chain's block moves coordinate j down a step, row 2j+1 up
     moves = np.arange(2 * d)
+    coords = moves // 2
+    signs = np.where(moves % 2, 1.0, -1.0)
     for _ in range(24):
         live = np.flatnonzero(step >= 1e-3)
         if not len(live):
             break
-        # row 2j of a chain's block moves coordinate j down a step, row 2j+1 up
-        trials = np.repeat(u[live], 2 * d, axis=0).reshape(len(live), 2 * d, d)
-        shift = np.where(moves % 2, 1.0, -1.0)[None, :] * step[live, None]
-        trials[:, moves, moves // 2] = np.clip(u[live][:, moves // 2] + shift, 0.0, 1.0)
+        u_live = u[live]
+        trials = np.repeat(u_live, 2 * d, axis=0).reshape(len(live), 2 * d, d)
+        shift = signs[None, :] * step[live, None]
+        trials[:, moves, coords] = np.clip(u_live[:, coords] + shift, 0.0, 1.0)
         m, v = post.predict(trials.reshape(-1, d), blocks=len(live))
         e_trials = expected_improvement(m, np.sqrt(v), g_min).reshape(len(live), 2 * d)
         i_best = np.argmax(e_trials, axis=1)
@@ -657,6 +685,11 @@ def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx
     Each step refits the GP hyperparameters to all evaluations so far.
     Every fit after the model's first also scores the previous fit's optimum
     as a warm start, beside the fixed starts that every fit scores.
+
+    A proposal that rounds to a config the model has already scored is not
+    evaluated again: evaluation is deterministic given the config, so the
+    earlier score, released of its eigenvectors, is passed on and its
+    objective goes to the GP.
     """
     n = X.shape[1]
     dims = bo_dimensions(model)
@@ -668,11 +701,15 @@ def _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx
 
     U = []
     g_gp = []
+    scored = {}
 
     def evaluate(u):
         values = lo + np.asarray(u) * (hi - lo)
         config = _config_from_values(model, dims, values, n, approx)
-        cs = evaluate_candidate(X, k, config, seed=seed, eps=eps)
+        cs = scored.get(config)
+        if cs is None:
+            cs = evaluate_candidate(X, k, config, seed=seed, eps=eps)
+            scored[config] = _released(cs)
         g = -_objective(cs, score)
         keep(cs)
         if not np.isfinite(g):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from autospectral import affinity
 from autospectral.affinity import (
     CandidateConfig,
     KernelSpec,
@@ -160,13 +161,60 @@ class TestKlsr:
         with pytest.raises(NumericalError):
             klsr_coefficients(K, 1.0, approx_rank=3, seed=0)
 
-    def test_eigh_failure_raises_numerical_error(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    @staticmethod
+    def with_one_eigenvalue(last):
+        # a positive diagonal, eigenvalues 1 down to 0.2 plus ``last``, and
+        # entries within [-1, 1], so the tolerance is 1e-8 of scale 1
+        Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))
+        K = (Q * np.array([1.0, 0.6, 0.3, 0.2, last])) @ Q.T
+        K = (K + K.T) / 2
+        assert np.min(np.diag(K)) > 0.1 and np.max(np.abs(K)) <= 1.0
+        return K
 
-        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-        with pytest.raises(NumericalError, match="did not converge"):
+    def test_eigenvalue_past_the_tolerance_raises(self):
+        with pytest.raises(NumericalError, match="indefinite beyond tolerance"):
+            klsr_coefficients(self.with_one_eigenvalue(-2e-8), 0.1)
+
+    def test_eigenvalue_within_the_tolerance_is_accepted(self):
+        K = self.with_one_eigenvalue(-0.5e-8)
+        C = klsr_coefficients(K, 0.1)
+        assert np.max(np.abs(C - np.linalg.solve(K + 0.1 * np.eye(5), K))) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "routine, failing_call, match",
+        [
+            ("dpotrf", 0, "indefinite beyond tolerance"),
+            ("dpotrf", 1, "kernel factorization failed"),
+            ("dpotri", 0, "kernel factorization failed"),
+        ],
+    )
+    def test_factorization_failure_raises_numerical_error(self, monkeypatch, routine, failing_call, match):
+        # the tolerance check's Cholesky factorization, then the one of
+        # K + lam I and its inverse: LAPACK reporting failure in any of them
+        real = getattr(affinity.lapack, routine)
+        calls = []
+
+        def failing(a, **kwargs):
+            out, info = real(a, **kwargs)
+            calls.append(routine)
+            return out, 2 if len(calls) == failing_call + 1 else info
+
+        monkeypatch.setattr(affinity.lapack, routine, failing)
+        with pytest.raises(NumericalError, match=match):
             klsr_coefficients(np.eye(3), 1.0)
+
+    @pytest.mark.parametrize("n", [150, 300])
+    @pytest.mark.parametrize("spec", [KernelSpec("gaussian"), KernelSpec("polynomial", offset=0.5, degree=2)])
+    def test_matches_solve_oracle(self, n, spec):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((10, n))
+        X /= np.linalg.norm(X, axis=0)
+        K = kernel_matrix(X, spec)
+        for lam in (1e-3, 0.1, 1.0):
+            C = klsr_coefficients(K, lam)
+            assert C.flags.c_contiguous and np.array_equal(C, C.T)
+            assert np.array_equal(klsr_coefficients(np.asfortranarray(K), lam), C)
+            assert np.max(np.abs(C - np.linalg.solve(K + lam * np.eye(n), K))) <= 1e-8
 
 
 class TestBuildCoefficients:

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +51,16 @@ class TestMatern:
         A, B = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
         ls = rng.random(3) + 0.5
         np.testing.assert_allclose(_matern_cross(A, B, 1.3, ls), _matern_cross(B, A, 1.3, ls).T, rtol=1e-6)
+
+    def test_bit_identical_to_the_expression(self):
+        rng = np.random.default_rng(1)
+        A, B = rng.random((7, 3)), rng.random((5, 3))
+        ls, amp = rng.random(3) + 0.2, 1.7
+        diff = (A[:, None, :] - B[None, :, :]) / ls
+        r2 = np.einsum("ijk,ijk->ij", diff, diff)
+        sq5r = np.sqrt(5.0 * r2)
+        want = amp * (1.0 + sq5r + (5.0 / 3.0) * r2) * np.exp(-sq5r)
+        assert np.array_equal(_matern_cross(A, B, amp, ls), want)
 
     def test_unit_distance_value(self):
         # scalar formula oracle at r^2 = 1
@@ -107,6 +119,55 @@ class TestGpPosterior:
         monkeypatch.setattr(search, "_matern_cross", lambda *args: (V * [1.0, 0.5, 0.2, -0.1]) @ V.T)
         with pytest.raises(NumericalError, match="GP Gram factorization failed"):
             _Posterior(S, y, 1.0, np.ones(1), 0.0)
+
+
+def reference_posterior(S, y, amplitude, lengthscales, prior_mean):
+    """What ``reference_predict`` reads of a posterior, from the earlier
+    jitter loop: it rebuilds the Gram matrix on every try and factors and
+    solves through ``cho_factor`` and ``cho_solve``."""
+    jitter = 1e-8
+    while True:
+        K = search._matern_cross(S, S, amplitude, lengthscales)
+        K.flat[:: K.shape[0] + 1] += jitter
+        try:
+            chol = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
+            break
+        except np.linalg.LinAlgError:
+            if jitter >= 1e-2:
+                raise
+            jitter *= 10.0
+    alpha = scipy.linalg.cho_solve(chol, y - prior_mean, check_finite=False)
+    return SimpleNamespace(
+        S=S, amplitude=amplitude, lengthscales=lengthscales, prior_mean=prior_mean, chol=chol, alpha=alpha
+    )
+
+
+class TestPosteriorRetries:
+    def test_gram_built_once_and_bit_identical_to_the_earlier_loop(self, monkeypatch):
+        # the Gram's smallest eigenvalue moved to -5e-6: jitters 1e-8, 1e-7
+        # and 1e-6 fail, 1e-5 factors
+        rng = np.random.default_rng(5)
+        S, y, Q = rng.random((10, 2)), rng.standard_normal(10), rng.random((12, 2))
+        amp, ls, mean = 1.3, np.array([0.3, 0.5]), float(np.mean(y))
+        real, grams = search._matern_cross, []
+
+        def shifted_gram(A, B, amplitude, lengthscales):
+            K = real(A, B, amplitude, lengthscales)
+            if A is B:
+                grams.append(A)
+                w, V = np.linalg.eigh(K)
+                K -= (w[0] + 5e-6) * np.outer(V[:, 0], V[:, 0])
+            return K
+
+        monkeypatch.setattr(search, "_matern_cross", shifted_gram)
+        post = _Posterior(S, y, amp, ls, mean)
+        assert len(grams) == 1
+        ref = reference_posterior(S, y, amp, ls, mean)
+        assert len(grams) == 5
+        assert np.array_equal(np.tril(post.chol[0]), np.tril(ref.chol[0]))
+        mu, var = post.predict(Q)
+        mu_ref, var_ref = reference_predict(ref, Q)
+        assert np.array_equal(mu, mu_ref) and np.array_equal(var, var_ref)
 
 
 def ei(mu, sigma, g_min):
@@ -766,7 +827,7 @@ class TestMemoryCeiling:
         assert X.shape[1] == 2000 > linalg.DENSE_EIGS_MAX_N
         return X
 
-    @pytest.mark.parametrize("model", [SCORED_MODELS[0], SCORED_MODELS[2]], ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", SCORED_MODELS, ids=lambda m: m.name)
     def test_evaluate_candidate(self, points, model):
         config = CandidateConfig(model.name, tau=10, lam=0.1, kernel=model.kernel)
         assert self.peak_arrays(lambda: evaluate_candidate(points, 4, config), 2000) < 3.5
@@ -1035,6 +1096,48 @@ class TestWinner:
         assert len({s.reg for s in res.scores}) == 1
         assert res.winner is res.scores[0]
         assert all(s.spectrum.vectors is None for s in res.scores[1:])
+
+
+class Unshared(CandidateConfig):
+    """A config equal only to itself, which no score of BO's can stand in for."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+class TestRepeatedConfigs:
+    @staticmethod
+    def corner_run(monkeypatch, threads):
+        # after the initial design every proposal is the top corner of the box
+        X, _ = subspace_data(seed=8, noise=0.05)
+        real, calls = search.evaluate_candidate, []
+
+        def counted(X, k, config, **kwargs):
+            calls.append(config)
+            return real(X, k, config, **kwargs)
+
+        monkeypatch.setattr(search, "evaluate_candidate", counted)
+        monkeypatch.setattr(search, "_maximize_ei", lambda post, g_min, sobol: np.ones(post.S.shape[1]))
+        res = bo_search(X, 3, default_search_space(), budget_per_model=12, seed=2, threads=threads)
+        return res, calls
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_scored_once_with_the_scores_of_evaluating_again(self, monkeypatch, threads):
+        res, calls = self.corner_run(monkeypatch, threads)
+        assert len(res.scores) == 36
+        # 8 design points and the corner per model
+        assert len(calls) == len(set(calls)) == 27
+        monkeypatch.setattr(search, "CandidateConfig", Unshared)
+        ref, ref_calls = self.corner_run(monkeypatch, threads)
+        assert len(ref_calls) == 36
+        assert [astuple(s.config) for s in res.scores] == [astuple(s.config) for s in ref.scores]
+        assert [s.reg for s in res.scores] == [s.reg for s in ref.scores]
+        for got, want in zip(res.scores, ref.scores):
+            assert (got.spectrum is None) == (want.spectrum is None)
+            if got.spectrum is not None:
+                assert np.array_equal(got.spectrum.sigmas, want.spectrum.sigmas)
+        assert astuple(res.winner.config) == astuple(ref.winner.config)
+        assert np.array_equal(res.partition.labels, ref.partition.labels)
 
 
 class TestBoSearch:

@@ -167,10 +167,10 @@ def lsr_coefficients(X, lam):
     return ridge_filter(s**2, Vt.T, lam)
 
 
-def _mirror_lower(B, block=64):
+def _mirror_lower(B):
     """Copy the lower triangle of the square array B onto its upper one, in
     place, one block row at a time: no index array and no n x n temporary."""
-    n = len(B)
+    n, block = len(B), 64
     upper = np.tri(min(block, n), k=-1, dtype=bool).T
     for lo in range(0, n, block):
         hi = min(lo + block, n)

@@ -35,7 +35,7 @@ from autospectral.search import (
     fit_gp_hyperparams,
     grid_search,
 )
-from autospectral.spectra import laplacian_spectrum, relative_eigen_gap, spectral_embedding
+from autospectral.spectra import LaplacianSpectrum, laplacian_spectrum, relative_eigen_gap, spectral_embedding
 from autospectral.synthetic import random_subspaces
 from conftest import sorted_postprocess, sparse_laplacian_spectrum, ties_at_threshold
 
@@ -1138,6 +1138,18 @@ class TestRepeatedConfigs:
                 assert np.array_equal(got.spectrum.sigmas, want.spectrum.sigmas)
         assert astuple(res.winner.config) == astuple(ref.winner.config)
         assert np.array_equal(res.partition.labels, ref.partition.labels)
+
+    def test_repeat_of_an_unembeddable_candidate_is_not_kept(self):
+        # the best objective so far, but a point with zero spectral
+        # coordinates: neither it nor its released repeat is kept
+        vectors = np.eye(4)[:, :2]
+        spectrum = LaplacianSpectrum(k=2, sigmas=np.array([0.0, 0.1, 0.9]), vectors=vectors)
+        score = search.CandidateScore(CandidateConfig("lsr", tau=2), reg=5.0, spectrum=spectrum)
+        keeper = search._Keeper("reg")
+        keeper.add(score)
+        keeper.add(search._released(score))
+        assert keeper.best is None and len(keeper.scores) == 2
+        assert all(s.spectrum.vectors is None for s in keeper.scores)
 
 
 class TestBoSearch:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -98,8 +99,14 @@ def run_cli(argv):
         if getattr(args, name) < minimum:
             print(f"error: --{name} must be at least {minimum}", file=sys.stderr)
             return 2
-    if not args.eps > 0:
-        print("error: --eps must be positive", file=sys.stderr)
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        print("error: --eps must be finite and positive", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        print("error: --lr must be finite and positive", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.gamma) and args.gamma >= 0):
+        print("error: --gamma must be finite and at least 0", file=sys.stderr)
         return 2
     if 0 < args.landmarks <= args.k:
         print(f"error: --landmarks must be 0 or at least k + 1 = {args.k + 1}", file=sys.stderr)

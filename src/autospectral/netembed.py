@@ -9,6 +9,7 @@ checked against finite differences in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -50,8 +51,9 @@ class NetConfig:
     def __post_init__(self):
         if self.hidden < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("hidden, epochs, batch_size must be >= 1")
-        if self.ridge < 0 or self.lr <= 0:
-            raise ValueError("ridge must be >= 0 and lr > 0")
+        finite = math.isfinite(self.ridge) and math.isfinite(self.lr)
+        if not (finite and self.ridge >= 0 and self.lr > 0):
+            raise ValueError("ridge must be finite and >= 0, and lr finite and > 0")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
 

@@ -414,13 +414,15 @@ def _bordered_cholesky(M, r):
     Cholesky factorization each and no solve.
 
     ``M`` is a (B, t+1, t+1) stack whose [:t, :t] blocks hold the matrices
-    K, each a positive semidefinite matrix plus 1e-8 on its diagonal. The
-    call borders them in place as [[K, r], [r', c]] and factors the stack.
-    The jitter puts every eigenvalue of K at or above 1e-8, so
-    r'K^-1 r <= ||r||^2 / 1e-8 < c = 2 ||r||^2 / 1e-8 + 1: the Schur
-    complement c - r'K^-1 r is positive, and a bordered matrix factors
-    exactly when its K does. The factor's last row is z = L^-1 r, so
-    r'K^-1 r = ||z||^2, and its first t diagonal entries give log det K.
+    K, each a positive semidefinite matrix plus 1e-8 on its diagonal, in
+    their lower triangles: the factorization reads nothing else, so the
+    strict upper triangle of ``M`` may hold anything. The call writes the
+    border's last row in place, making each matrix [[K, r], [r', c]], and
+    factors the stack. The jitter puts every eigenvalue of K at or above
+    1e-8, so r'K^-1 r <= ||r||^2 / 1e-8 < c = 2 ||r||^2 / 1e-8 + 1: the
+    Schur complement c - r'K^-1 r is positive, and a bordered matrix
+    factors exactly when its K does. The factor's last row is z = L^-1 r,
+    so r'K^-1 r = ||z||^2, and its first t diagonal entries give log det K.
 
     Returns
     -------
@@ -430,7 +432,6 @@ def _bordered_cholesky(M, r):
     B, n1, _ = M.shape
     t = n1 - 1
     M[:, t, :t] = r
-    M[:, :t, t] = r
     M[:, t, t] = 2.0 * float(r @ r) / 1e-8 + 1.0
     try:
         L = np.linalg.cholesky(M)
@@ -455,8 +456,11 @@ def _bordered_cholesky(M, r):
     return ok, quad, logdet
 
 
-# float64 entries in one stacked bordered-Gram array of the GP fit; a scored
-# batch holds a few arrays of this size, so the budget bounds the fit's memory
+# float64 entries in one stacked bordered-Gram array of the GP fit. A scored
+# batch holds at most two arrays of this size at once, the stack and its
+# Cholesky factor; the packed lower triangles the stack is built from, about
+# half this size each, are freed before it is factored. So the budget bounds
+# the fit's memory
 _LML_BUDGET = 2**15
 
 # fixed start points every fit scores
@@ -484,12 +488,15 @@ def fit_gp_hyperparams(S, y, init=None):
     lockstep: the initial values of all starts, and for each (sweep,
     dimension) the candidate grids of all active starts, are factored
     together, in chunks of whole starts whose stacked bordered matrices
-    hold at most ``_LML_BUDGET`` entries. A start that moved in no dimension
-    during a sweep would repeat that sweep exactly, so it drops out of later
-    sweeps. Every refined start ends where its own coordinate search would,
-    bit for bit; the best scored start wins, the first on ties, so the fit
-    never ends below the initial value of any start. Deterministic given
-    the observations and ``init``.
+    hold at most ``_LML_BUDGET`` entries. Only the lower triangles, which
+    the Cholesky factorization reads, are filled: squared distances and
+    the Matern transform run on the t(t+1)/2 entries of each packed lower
+    triangle, and the packed arrays are freed before the stack is factored.
+    A start that moved in no dimension during a sweep would repeat that
+    sweep exactly, so it drops out of later sweeps. Every refined start ends
+    where its own coordinate search would, bit for bit; the best scored
+    start wins, the first on ties, so the fit never ends below the initial
+    value of any start. Deterministic given the observations and ``init``.
 
     Returns
     -------
@@ -512,36 +519,52 @@ def fit_gp_hyperparams(S, y, init=None):
     amp_lo, amp_hi = amp_scale * 1e-3, amp_scale * 1e3
     ls_lo, ls_hi = ls_scale * 1e-3, ls_scale * 1e3
 
-    # per-dimension squared distances, shared by every likelihood evaluation
-    D2 = np.stack([(S[:, j, None] - S[None, :, j]) ** 2 for j in range(d)])
+    # per-dimension squared distances over the lower triangle, packed row by
+    # row and shared by every likelihood evaluation; ``flat`` places packed
+    # entries in a flattened (t+1, t+1) bordered matrix
+    il, jl = np.tril_indices(t)
+    D2p = np.stack([(S[il, j] - S[jl, j]) ** 2 for j in range(d)])
     const = -0.5 * t * math.log(2.0 * math.pi)
     n1 = t + 1
+    flat = il * n1 + jl
 
-    def bordered(*shape):
-        """A stack of (t+1, t+1) matrices and its [:t, :t] blocks, which
-        take r^2."""
-        M = np.empty(shape + (n1, n1))
-        return M, M[..., :t, :t]
-
-    def lml_batch(M, amps):
-        """Log marginal likelihood of each matrix of a (B, t+1, t+1) stack
-        whose [:t, :t] blocks hold r^2; overwrites the stack, and writes the
-        optimal amplitude into ``amps`` wherever the Gram matrix factors."""
-        B = len(M)
-        K = M[:, :t, :t]
+    def gram_stack(P):
+        """A (B, t+1, t+1) stack whose [:t, :t] blocks take, in their lower
+        triangles, the Matern-5/2 Gram matrices of the packed (B, t(t+1)/2)
+        r^2 in ``P`` plus 1e-8 on the diagonal; overwrites ``P``. Nothing
+        else of the stack is set."""
+        B = len(P)
         # Matern-5/2, (1 + sqrt(5 r2) + 5/3 r2) exp(-sqrt(5 r2)), in place
-        Q = np.multiply(K, 5.0)
+        Q = np.multiply(P, 5.0)
         np.sqrt(Q, out=Q)
         E = np.negative(Q)
         np.exp(E, out=E)
         Q += 1.0
-        K *= 5.0 / 3.0
-        K += Q
-        K *= E
+        P *= 5.0 / 3.0
+        P += Q
+        P *= E
         del Q, E
+        M = np.empty((B, n1, n1))
+        M.reshape(B, n1 * n1)[:, flat] = P
         M.reshape(B, n1 * n1)[:, : t * (n1 + 1) : n1 + 1] += 1e-8
+        return M
+
+    def candidate_r2(idx, j, cand):
+        """Packed r^2 of every start in ``idx`` with its length scale j set
+        to each of its candidates, one row per (start, candidate)."""
+        inv = 1.0 / ls[idx] ** 2
+        other = np.einsum("sd,dp->sp", inv, D2p)
+        other -= inv[:, j, None] * D2p[j]
+        r2 = np.divide(D2p[j], cand[:, :, None] ** 2)
+        r2 += other[:, None]
+        return r2.reshape(-1, len(flat))
+
+    def lml_batch(M, amps):
+        """Log marginal likelihood of each matrix of a ``gram_stack``;
+        overwrites the stack, and writes the optimal amplitude into
+        ``amps`` wherever the Gram matrix factors."""
         ok, quad0, logdet0 = _bordered_cholesky(M, r)
-        out = np.full(B, -np.inf)
+        out = np.full(len(M), -np.inf)
         a = np.clip(quad0 / t, amp_lo, amp_hi)
         amps[ok] = a
         out[ok] = -0.5 * quad0 / a - 0.5 * (logdet0 + t * np.log(a)) + const
@@ -558,11 +581,12 @@ def fit_gp_hyperparams(S, y, init=None):
     ls = starts[:, 1:].copy()
     val = np.empty(n_starts)
     per = max(1, _LML_BUDGET // (n1 * n1))
+    # packed arrays and stacks are passed, never named, so each is freed as
+    # soon as the call that takes it returns: the packed r^2 before its stack
+    # is factored, and a factored stack before the next batch is built
     for lo in range(0, n_starts, per):
         part = slice(lo, lo + per)
-        M, r2 = bordered(len(amp[part]))
-        np.einsum("sd,dij->sij", 1.0 / ls[part] ** 2, D2, out=r2)
-        val[part] = lml_batch(M, amp[part])
+        val[part] = lml_batch(gram_stack(np.einsum("sd,dp->sp", 1.0 / ls[part] ** 2, D2p)), amp[part])
 
     factors = np.exp(np.linspace(-math.log(8.0), math.log(8.0), 9))
     per = max(1, _LML_BUDGET // (len(factors) * n1 * n1))
@@ -572,15 +596,9 @@ def fit_gp_hyperparams(S, y, init=None):
         for j in range(d):
             for lo in range(0, len(active), per):
                 idx = active[lo : lo + per]
-                inv = 1.0 / ls[idx] ** 2
-                other = np.einsum("sd,dij->sij", inv, D2)
-                other -= inv[:, j, None, None] * D2[j]
                 cand = np.clip(ls[idx, j][:, None] * factors, ls_lo[j], ls_hi[j])
-                M, r2 = bordered(len(idx), len(factors))
-                np.divide(D2[j], cand[:, :, None, None] ** 2, out=r2)
-                r2 += other[:, None]
                 amps = np.repeat(amp[idx], len(factors))
-                vals = lml_batch(M.reshape(-1, n1, n1), amps).reshape(len(idx), -1)
+                vals = lml_batch(gram_stack(candidate_r2(idx, j, cand)), amps).reshape(len(idx), -1)
                 # each start's own first argmax, taken only if it improves
                 best = (np.arange(len(idx)), np.argmax(vals, axis=1))
                 up = vals[best] > val[idx]

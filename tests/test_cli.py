@@ -131,6 +131,14 @@ class TestUsageErrors:
             ("--eps", "0"),
             ("--eps", "-1e-6"),
             ("--eps", "nan"),
+            ("--eps", "inf"),
+            ("--lr", "0"),
+            ("--lr", "-1"),
+            ("--lr", "nan"),
+            ("--lr", "inf"),
+            ("--gamma", "-1"),
+            ("--gamma", "nan"),
+            ("--gamma", "inf"),
         ],
     )
     def test_out_of_range_flag_rejected_before_any_work(self, subspace_csv, tmp_path, capsys, flag, value):

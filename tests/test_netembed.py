@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,16 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+class TestNetConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", math.nan), ("ridge", math.nan), ("lr", math.inf), ("ridge", math.inf), ("lr", 0.0), ("ridge", -1e-5)],
+    )
+    def test_rate_and_ridge_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetConfig(**{field: value})
 
 
 class TestTrain:

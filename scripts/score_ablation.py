@@ -10,9 +10,9 @@ candidate is scored again with ``evaluate_candidate`` and clustered by
 k-means on its spectral embedding, as a winner is, and candidates that are
 degenerate or have no embedding are left out. Each column is a mean over
 the seeds. Under each noise level it lists, per objective, the winners as
-(model, lambda, tau) with their counts over the seeds, and the share of
-winners on an edge of the grid: at the smallest or largest lambda (for the
-models that take one) or tau.
+(model, kernel kind, lambda, tau) with their counts over the seeds, and the
+share of winners on an edge of the grid: at the smallest or largest lambda
+(for the models that take one) or tau.
 
     python scripts/score_ablation.py --noise-levels 0.01 0.05 0.1 0.2
 """
@@ -59,10 +59,12 @@ def candidate_accuracies(X, k, configs, truth, seed):
 
 
 def describe(configs, space):
-    counts = Counter((c.model, c.lam if c.model in LAMBDA_MODELS else None, c.tau) for c in configs)
+    counts = Counter(
+        (c.model, c.kernel and c.kernel.kind, c.lam if c.model in LAMBDA_MODELS else None, c.tau) for c in configs
+    )
     winners = ", ".join(
-        f"({model}, {'-' if lam is None else f'{lam:g}'}, {tau}) x{n}"
-        for (model, lam, tau), n in counts.most_common()
+        f"({model}, {kind or '-'}, {'-' if lam is None else f'{lam:g}'}, {tau}) x{n}"
+        for (model, kind, lam, tau), n in counts.most_common()
     )
     edge = sum(on_edge(c, space) for c in configs)
     return f"{winners}; on an edge: {edge}/{len(configs)}"

@@ -4,7 +4,9 @@ A candidate affinity is built in two stages: a dense coefficient matrix C
 from the data (ridge self-expression, its kernel variant, or a direct kernel
 similarity), then a sparsifying post-process (abs + zero diagonal, per-column
 truncation to the tau largest entries, column l1 normalization, and
-symmetrization) that yields the graph handed to the spectral stage. lsr
+symmetrization) that yields the graph handed to the spectral stage. The
+graph is only ever sparse: one partition per C finds each column's kept
+entries at the deepest tau, and each tau builds its CSR from those. lsr
 gets C from a spectral filter of its Gram matrix (``ridge_filter``) fed by
 a thin SVD of X. klsr solves with one Cholesky factorization of K + lam I,
 and uses the same filter only on its low-rank path.
@@ -13,7 +15,6 @@ and uses the same filter only on its low-rank path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -84,24 +85,15 @@ class CandidateConfig:
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """Symmetric nonnegative affinity with zero diagonal, plus degrees.
+    """Symmetric nonnegative affinity with zero diagonal, as the CSR matrix
+    ``a`` (truncation leaves it at most 2 tau n nonzeros), plus degrees."""
 
-    ``dense`` is the n x n matrix, which a dense eigensolver takes whole.
-    Truncation leaves it at most 2 tau n nonzeros, so ``a``, its CSR form,
-    is what an iterative eigensolver applies above the dense cut; it is
-    built on first read.
-    """
-
-    dense: np.ndarray = field(repr=False)
+    a: sp.csr_matrix = field(repr=False)
     degrees: np.ndarray = field(repr=False)
 
     @property
     def n(self):
-        return self.dense.shape[0]
-
-    @cached_property
-    def a(self):
-        return sp.csr_matrix(self.dense)
+        return self.a.shape[0]
 
 
 def kernel_matrix(X, spec):
@@ -250,53 +242,73 @@ def build_coefficients(X, config, seed=0):
     return klsr_coefficients(K, config.lam, approx_rank=config.approx_rank, seed=seed)
 
 
-class ColumnThresholds(NamedTuple):
-    """W = |C| with a zeroed diagonal, and per truncation level tau the
-    tau-th largest value of each column of W (levels below n - 1 only)."""
+class ColumnRanking(NamedTuple):
+    """The positive entries of W = |C| (zeroed diagonal) that truncation to
+    ``depth`` keeps, column by column and down each column, with each one's
+    ``rank`` in a stable descending sort of its column (None in a ranking
+    for ``depth`` alone): level tau <= depth keeps the ranks below tau."""
 
-    w: np.ndarray
-    thresholds: dict
+    n: int
+    depth: int
+    cols: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    rank: np.ndarray | None
 
 
-def column_thresholds(C, taus):
-    """The part of ``postprocess_affinity`` that depends on C alone.
-
-    One multi-``kth`` partition per column finds the threshold of every
-    truncation level in ``taus``. Levels of n - 1 or more keep whole columns
-    and need no threshold.
-
-    Raises
-    ------
-    DegenerateCandidateError
-        If any column is entirely zero after abs/zero-diagonal.
-    """
+def _kept_entries(C, depth):
+    """The unranked ``ColumnRanking`` of C at ``depth``. A partition finds
+    each column's depth-th largest value t; the column keeps its positive
+    entries above t, plus as many equal to t, lowest rows first, as make
+    depth: the set a stable descending sort would keep. Raises
+    DegenerateCandidateError if a column is all zero off the diagonal."""
     C = check_finite(C, "C")
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
-    W = np.abs(C)
-    np.fill_diagonal(W, 0.0)
-    with np.errstate(over="ignore"):  # an overflowing sum is no zero column
-        if np.any(W.sum(axis=0) == 0.0):
-            raise DegenerateCandidateError("a column has no off-diagonal mass")
-    n = W.shape[0]
-    cut = sorted({tau for tau in taus if tau < n - 1})
-    if not cut:
-        return ColumnThresholds(W, {})
-    rows = np.partition(W, [n - tau for tau in cut], axis=0)[[n - tau for tau in cut]]
-    return ColumnThresholds(W, dict(zip(cut, rows)))
+    n = C.shape[0]
+    Wt = np.abs(C.T, order="C")  # row j is column j of W
+    Wt.flat[:: n + 1] = 0.0
+    if not np.all(np.any(Wt, axis=1)):
+        raise DegenerateCandidateError("a column has no off-diagonal mass")
+    d = min(depth, n - 1)  # a column has n - 1 off-diagonal entries
+    t = np.partition(Wt, n - d, axis=1)[:, n - d].copy()  # frees the partition
+    # the smallest positive float as a floor keeps no zero, where t is 0
+    keep = Wt >= np.maximum(t, np.nextafter(0.0, 1.0))[:, None]
+    for j in np.flatnonzero(np.count_nonzero(keep, axis=1) > d):
+        tied = np.flatnonzero(Wt[j] == t[j])
+        keep[j, tied[d - np.count_nonzero(Wt[j] > t[j]) :]] = False
+    cols, rows = np.divmod(np.flatnonzero(keep), n)
+    return ColumnRanking(n, depth, cols, rows, Wt[cols, rows], None)
 
 
-def _truncate(W, t, tau):
-    """W with each column cut to the tau entries a stable descending sort
-    ranks first: those above the column's threshold t, then the entries
-    equal to it in ascending row order. A zero threshold keeps the whole
-    column, whose other entries are zeros anyway."""
-    keep = W >= t
-    over = np.flatnonzero((np.count_nonzero(keep, axis=0) > tau) & (t > 0.0))
-    for j in over:
-        tied = np.flatnonzero(W[:, j] == t[j])
-        keep[tied[tau - np.count_nonzero(W[:, j] > t[j]) :], j] = False
-    return np.where(keep, W, 0.0)
+def rank_columns(C, depth):
+    """The ``ColumnRanking`` of C at ``depth``, which lets a grid of tau
+    values up to ``depth`` share one partition of C's columns."""
+    ranking = _kept_entries(C, depth)
+    # entries run column by column and down each column, so a stable sort
+    # by column, then by descending value, ranks ties lowest row first
+    order = np.lexsort((-ranking.values, ranking.cols))
+    rank = np.argsort(order) - np.searchsorted(ranking.cols, ranking.cols)
+    return ranking._replace(rank=rank)
+
+
+def _column_graph(ranking, tau):
+    """A = (W + W')/2 as CSR, where W holds the entries of ``ranking`` that
+    level tau keeps, each column l1-normalized."""
+    if tau > ranking.depth:
+        raise ValueError(f"a ranking of depth {ranking.depth} cannot truncate to tau = {tau}")
+    n, kept = ranking.n, slice(None) if tau == ranking.depth else ranking.rank < tau
+    cols = ranking.cols[kept]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    wt = sp.csr_matrix((ranking.values[kept], ranking.rows[kept], indptr), shape=(n, n))
+    # W's column sums, added down the rows one by one as a dense column sum
+    # adds them; none is zero, but one can overflow and zero its column
+    sums = wt @ np.ones(n)
+    if not np.all(np.isfinite(sums)):
+        raise DegenerateCandidateError("the kept weights of a column overflow float64 when summed")
+    wt.data = wt.data / sums[cols]
+    # `/ 2.0` copies the sum out of the arrays it sized for both operands
+    return (wt + wt.T) / 2.0
 
 
 def postprocess_affinity(C, tau):
@@ -304,15 +316,15 @@ def postprocess_affinity(C, tau):
 
     In order: absolute value with zeroed diagonal, per-column truncation to
     the tau largest entries (ties broken by lowest row index), column l1
-    normalization, symmetrization A = (C + C')/2. ``C`` is a coefficient
-    matrix, left untouched, or its ``column_thresholds`` for a list of
-    levels that holds tau, which lets a grid of tau values share one
-    partition. Each column keeps the entries above its tau-th largest
-    value, plus as many entries equal to it, lowest rows first, as make
-    tau: the set a stable sort of the column would keep, with no sort.
+    normalization, symmetrization A = (W + W')/2. ``C`` is a coefficient
+    matrix, left untouched, or its ``rank_columns`` at a depth of at least
+    tau. W' is built as CSR from each column's kept entries, with no n x n
+    array; column sums and degrees round as numpy's dense sums would.
 
     Raises
     ------
+    ValueError
+        If tau is below 1, or deeper than the ranking's depth.
     DegenerateCandidateError
         If any column is entirely zero after abs/zero-diagonal, the kept
         weights of a column sum past float64's range, or any vertex of the
@@ -320,19 +332,10 @@ def postprocess_affinity(C, tau):
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    W, thresholds = C if isinstance(C, ColumnThresholds) else column_thresholds(C, (tau,))
-    n = W.shape[0]
-    W = _truncate(W, thresholds[tau], tau) if tau < n - 1 else W.copy()
-    # each column keeps its largest entry, so no sum is zero; it can
-    # overflow, which would normalize every weight of the column to zero
-    with np.errstate(over="ignore"):
-        sums = W.sum(axis=0)
-    if not np.all(np.isfinite(sums)):
-        raise DegenerateCandidateError("the kept weights of a column overflow float64 when summed")
-    W /= sums
-    A = W + W.T
-    A /= 2.0
-    degrees = A.sum(axis=1)
+    A = _column_graph(C if isinstance(C, ColumnRanking) else _kept_entries(C, tau), tau)
+    # a dense row sum is pairwise, so where its zeros sit changes its
+    # rounding: sum whole rows of dense blocks
+    degrees = np.concatenate([A[lo : lo + 256].toarray().sum(axis=1) for lo in range(0, A.shape[0], 256)])
     if np.any(degrees <= 0.0):
         raise DegenerateCandidateError("graph has an isolated vertex")
     return AffinityGraph(A, degrees)

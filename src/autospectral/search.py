@@ -30,9 +30,9 @@ from .affinity import (
     CandidateConfig,
     KernelSpec,
     build_coefficients,
-    column_thresholds,
     default_approx_rank,
     postprocess_affinity,
+    rank_columns,
 )
 from .errors import DegenerateError, NumericalError, SearchFailedError
 from .kmeans import Partition, kmeans
@@ -131,11 +131,11 @@ def _objective(score, kind):
 
 
 # Largest point count a search runs on. Under tracemalloc at n = 2000,
-# evaluate_candidate peaked at 3.1 n^2 * 8 bytes for each of lsr, klsr
+# evaluate_candidate peaked at 3.0 n^2 * 8 bytes for each of lsr, klsr
 # (whose Cholesky solve works in place in its one copy of K) and
-# kernel_direct, and a one-model lsr grid_search at 3.0. At 10 000 points
-# that is about 2.5 GB; the ceiling stays where five arrays (4.0 GB, half of
-# an 8 GB host) put it until a memory test at a higher ceiling backs a
+# kernel_direct, as did a one-model lsr grid_search. At 10 000 points that
+# is about 2.4 GB; the ceiling stays where five arrays (4.0 GB, half of an
+# 8 GB host) put it until a memory test at a higher ceiling backs a
 # change. Larger inputs go through the landmark path. With threads > 1,
 # each model that runs concurrently holds its own such arrays.
 SEARCH_MAX_N = 10_000
@@ -158,8 +158,8 @@ def _checked_points(X, k):
 
 def _score(C, config, k, seed, eps):
     """Score one candidate from its coefficient matrix, or from that
-    matrix's ``column_thresholds`` for a list of levels holding
-    ``config.tau``; degeneracies map to reg = -inf, not exceptions."""
+    matrix's ``rank_columns`` at a depth of at least ``config.tau``;
+    degeneracies map to reg = -inf, not exceptions."""
     try:
         spectrum = laplacian_spectrum(postprocess_affinity(C, config.tau), k, seed=seed)
     except DegenerateError as exc:
@@ -179,10 +179,10 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
 
 def _score_taus(X, k, configs, seed, eps):
     """Yield the scores of the candidates ``configs``, which differ only in
-    tau, from one coefficient matrix and one partition of its columns for
-    every tau. The matrix is freed before any tau is scored."""
+    tau, from one coefficient matrix, whose columns are ranked once at the
+    deepest tau. The matrix is freed before any tau is scored."""
     try:
-        columns = column_thresholds(build_coefficients(X, configs[0], seed=seed), [c.tau for c in configs])
+        columns = rank_columns(build_coefficients(X, configs[0], seed=seed), max(c.tau for c in configs))
     except DegenerateError as exc:
         for config in configs:
             yield _degenerate(config, exc)
@@ -286,9 +286,9 @@ def _finish(k, keepers, seed):
 def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):
     """Evaluate the full (model, lambda, tau) grid and cluster the winner.
 
-    The coefficient matrix is built once per (model, lambda), and one
-    partition of its columns (``column_thresholds``) gives every tau its
-    per-column threshold. Models that take no ridge weight (the direct kernel
+    The coefficient matrix is built once per (model, lambda), and its
+    columns are ranked once (``rank_columns``): every tau takes its graph
+    from that ranking. Models that take no ridge weight (the direct kernel
     similarity) are evaluated once per tau. Ties on the objective go to the
     first candidate in model -> lambda -> tau order.
     """

@@ -2,9 +2,8 @@
 
 The Laplacian L = I - D^{-1/2} A D^{-1/2} is never formed: the k+1 smallest
 eigenvalues of L are 1 minus the k+1 largest eigenvalues of the normalized
-affinity, which the partial eigensolver extracts directly. That operator is
-a dense array up to ``linalg.DENSE_EIGS_MAX_N`` rows, where LAPACK solves it
-whole, and a sparse matrix above, where ARPACK only applies it.
+affinity, which the partial eigensolver extracts directly from that sparse
+operator (``linalg.partial_sym_eigs`` picks LAPACK or ARPACK).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
 from .errors import DegenerateCandidateError
 from .linalg import partial_sym_eigs
 
@@ -47,13 +45,11 @@ def laplacian_spectrum(graph, k, seed=0):
     if np.any(graph.degrees <= 0):
         raise ValueError("graph has a zero-degree vertex")
     dinv_sqrt = 1.0 / np.sqrt(graph.degrees)
-    if n <= linalg.DENSE_EIGS_MAX_N:
-        # entry by entry the arithmetic of the sparse scaling below
-        M = dinv_sqrt[:, None] * graph.dense
-        M *= dinv_sqrt[None, :]
-    else:
-        scaling = sp.diags(dinv_sqrt)
-        M = (scaling @ graph.a @ scaling).tocsr()
+    a = graph.a
+    # entry by entry (d_i a_ij) d_j, as two diagonal products round it
+    data = np.repeat(dinv_sqrt, np.diff(a.indptr)) * a.data
+    data *= dinv_sqrt[a.indices]
+    M = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
     rho, vecs = partial_sym_eigs(M, count=k + 1, seed=seed)
     sigmas = np.clip(1.0 - rho, 0.0, 2.0)
     # a copy, not a view that would keep all k+1 vectors alive

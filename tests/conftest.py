@@ -22,14 +22,7 @@ from autospectral.spectra import LaplacianSpectrum
 def graph_from_dense(A):
     """AffinityGraph from a dense symmetric nonnegative zero-diagonal matrix."""
     A = np.asarray(A, dtype=np.float64)
-    return AffinityGraph(dense=A, degrees=A.sum(axis=1))
-
-
-class SortedGraph:
-    """What ``sorted_postprocess`` returns: the CSR affinity and its degrees."""
-
-    def __init__(self, a, degrees):
-        self.a, self.degrees, self.n = a, degrees, a.shape[0]
+    return AffinityGraph(sp.csr_matrix(A), A.sum(axis=1))
 
 
 def sorted_postprocess(C, tau):
@@ -56,7 +49,7 @@ def sorted_postprocess(C, tau):
     degrees = A.sum(axis=1)
     if np.any(degrees <= 0.0):
         raise DegenerateCandidateError("graph has an isolated vertex")
-    return SortedGraph(sp.csr_matrix(A), degrees)
+    return AffinityGraph(sp.csr_matrix(A), degrees)
 
 
 def ties_at_threshold(C, tau):
@@ -69,8 +62,8 @@ def ties_at_threshold(C, tau):
 
 
 def sparse_laplacian_spectrum(graph, k, seed=0):
-    """Reference spectrum of a ``SortedGraph``: the operator D^-1/2 A D^-1/2
-    built by two sparse diagonal products, whatever its size."""
+    """Reference spectrum of an ``AffinityGraph``: the operator D^-1/2 A D^-1/2
+    built by two sparse diagonal products."""
     scaling = sp.diags(1.0 / np.sqrt(graph.degrees))
     rho, vecs = partial_sym_eigs((scaling @ graph.a @ scaling).tocsr(), count=k + 1, seed=seed)
     return LaplacianSpectrum(k=k, sigmas=np.clip(1.0 - rho, 0.0, 2.0), vectors=vecs[:, :k])

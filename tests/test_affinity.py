@@ -16,8 +16,8 @@ from autospectral.affinity import (
     kernel_matrix,
     klsr_coefficients,
     lsr_coefficients,
-    column_thresholds,
     postprocess_affinity,
+    rank_columns,
 )
 from autospectral.errors import DegenerateCandidateError, DegenerateDataError, NumericalError
 from autospectral.synthetic import random_poly_curves
@@ -335,18 +335,19 @@ class TestPostprocess:
         assert A.sum() == pytest.approx(n * 1.0, abs=1e-9)
 
 
-def assert_matches_sorted(C, tau):
-    """postprocess_affinity gives the stable-sort reference's affinity,
-    degrees and CSR form bit for bit, or raises its degenerate reason."""
+def assert_matches_sorted(C, tau, ranking=None):
+    """postprocess_affinity of C, or of its ``ranking``, gives the
+    stable-sort reference's degrees and CSR affinity bit for bit, or raises
+    its degenerate reason."""
+    source = C if ranking is None else ranking
     try:
         want = sorted_postprocess(C, tau)
     except DegenerateCandidateError as exc:
         with pytest.raises(DegenerateCandidateError) as got:
-            postprocess_affinity(C, tau)
+            postprocess_affinity(source, tau)
         assert str(got.value) == str(exc)
         return
-    got = postprocess_affinity(C, tau)
-    assert np.array_equal(got.dense, want.a.toarray())
+    got = postprocess_affinity(source, tau)
     assert np.array_equal(got.degrees, want.degrees)
     assert np.array_equal(got.a.indptr, want.a.indptr)
     assert np.array_equal(got.a.indices, want.a.indices)
@@ -412,20 +413,32 @@ class TestTruncationMatchesStableSort:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             graph = postprocess_affinity(C, 1)
-        assert np.all(np.isfinite(graph.dense)) and np.all(graph.degrees > 0)
+        assert np.all(np.isfinite(graph.a.data)) and np.all(graph.degrees > 0)
         assert_matches_sorted(C, 1)
 
     def test_shared_thresholds_match_one_level(self):
-        # a grid's one partition for all levels gives each level the graph
-        # of its own post-process
-        C = np.random.default_rng(14).integers(-2, 3, (12, 12)).astype(np.float64)
-        taus = (1, 3, 5, 10, 11, 12, 13)
-        shared = column_thresholds(C, taus)
-        assert sorted(shared.thresholds) == [1, 3, 5, 10]
-        for tau in taus:
-            got, want = postprocess_affinity(shared, tau), postprocess_affinity(C, tau)
-            assert np.array_equal(got.dense, want.dense)
-            assert np.array_equal(got.degrees, want.degrees)
+        # one ranking at a grid's deepest level gives every level the
+        # reference's graph, also where a level, the deepest included, cuts
+        # through ties; depths of n - 1 and beyond rank whole columns
+        rng = np.random.default_rng(14)
+        ints = rng.integers(-2, 3, (12, 12)).astype(np.float64)
+        X = rng.standard_normal((5, 10))
+        dup = build_coefficients(np.hstack([X, X[:, :6]]), CandidateConfig("lsr", tau=1, lam=0.1))
+        dup[10:] = dup[:6]
+        for C, taus in (
+            (ints, (1, 3, 5, 8)),
+            (ints, (1, 3, 5, 10, 11, 12, 13)),
+            (dup, (1, 2, 3, 5, 9)),
+        ):
+            assert max(taus) >= len(C) or ties_at_threshold(C, max(taus))
+            ranking = rank_columns(C, max(taus))
+            for tau in taus:
+                assert_matches_sorted(C, tau, ranking)
+
+    def test_shallow_ranking_refuses_a_deeper_level(self):
+        ranking = rank_columns(np.random.default_rng(15).standard_normal((12, 12)), 3)
+        with pytest.raises(ValueError, match=r"depth 3 cannot truncate to tau = 5"):
+            postprocess_affinity(ranking, 5)
 
 
 class TestKernelRankBound:

@@ -15,7 +15,13 @@ from scipy.stats import spearmanr
 
 import autospectral
 from autospectral import linalg, search
-from autospectral.affinity import CandidateConfig, KernelSpec, build_coefficients, postprocess_affinity
+from autospectral.affinity import (
+    CandidateConfig,
+    KernelSpec,
+    build_coefficients,
+    postprocess_affinity,
+    rank_columns,
+)
 from autospectral.errors import DegenerateCandidateError, NumericalError, SearchFailedError
 from autospectral.kmeans import Partition, kmeans
 from autospectral.metrics import clustering_accuracy
@@ -864,6 +870,13 @@ class TestMemoryCeiling:
         assert self.peak_arrays(lambda: postprocess_affinity(C, 10), 2000) < 2.5
         graphs = iter([postprocess_affinity(C, 10) for _ in range(2)])
         assert self.peak_arrays(lambda: laplacian_spectrum(next(graphs), 4), 2000) < 0.5
+
+    def test_post_process_from_a_ranking(self, points):
+        # each level's graph comes from the ranking's kept entries alone:
+        # the degrees densify at most 256 rows at a time
+        ranking = rank_columns(build_coefficients(points, CandidateConfig("lsr", tau=15, lam=0.1)), 15)
+        for tau in range(5, 16):
+            assert self.peak_arrays(lambda: postprocess_affinity(ranking, tau), 2000) < 0.25
 
     def test_one_model_grid_search(self, points):
         space = SearchSpace(models=SCORED_MODELS[:1], lambdas=(0.1,), taus=(5, 10))

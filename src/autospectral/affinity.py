@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .errors import DegenerateCandidateError, DegenerateDataError, NumericalError
-from .linalg import check_finite, randomized_svd
+from .linalg import check_finite, randomized_eigh
 
 MODEL_LSR = "lsr"
 MODEL_KLSR = "klsr"
@@ -104,7 +104,9 @@ def kernel_matrix(X, spec):
     built from in place. Those come from |x|^2 + |y|^2 - 2 x'y, whose
     rounding would leave up to ~1e-14 on the diagonal, so the diagonal is
     set to 0 first: each point's distance to itself adds nothing to the mean,
-    and the gaussian diagonal is exactly 1. The result is exactly symmetric.
+    and the gaussian diagonal is exactly 1. K is exactly symmetric: numpy
+    forms X'X of a C- or F-ordered X by a symmetric rank-k update (a strided
+    X is copied first), and every later step is elementwise.
 
     Raises
     ------
@@ -112,6 +114,8 @@ def kernel_matrix(X, spec):
         If the gaussian bandwidth evaluates to zero (all points identical).
     """
     X = check_finite(X, "X")
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
     n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two points")
@@ -129,7 +133,7 @@ def kernel_matrix(X, spec):
         np.negative(K, out=K)
         K /= 2.0 * sigma**2
         np.exp(K, out=K)
-    return (K + K.T) / 2.0
+    return K
 
 
 def ridge_filter(w, V, lam):
@@ -178,10 +182,9 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     Cholesky factorization and inverse of Ks + lam I, computed in place in
     Ks. A first factorization of Ks + 1e-8 scale I, in the triangle the
     second one leaves alone, checks that no eigenvalue of Ks lies below
-    -1e-8 scale. With ``approx_rank`` r, a randomized rank-r range V stands
-    in for the eigenvectors and its Ritz values diag(V' K V) for the
-    eigenvalues, and ``ridge_filter`` truncates the filter to the top r
-    pairs.
+    -1e-8 scale. With ``approx_rank`` r, ``ridge_filter`` runs on the r
+    Ritz pairs of largest magnitude from ``randomized_eigh``; a Ritz value
+    below -1e-8 scale raises.
 
     Raises
     ------
@@ -204,12 +207,10 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     if diagonal.min() < -tol:
         raise NumericalError("kernel matrix is indefinite (negative diagonal)")
     if approx_rank is not None:
-        r = min(approx_rank, n)
         try:
-            V = randomized_svd(Ks, r, oversample=min(10, n - r), seed=seed).V
+            w, V = randomized_eigh(Ks, min(approx_rank, n), seed=seed)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"kernel factorization failed: {exc}") from exc
-        w = np.einsum("ij,ij->j", V, Ks @ V)
         if w.min() < -tol:
             raise NumericalError("kernel matrix is indefinite beyond tolerance")
         return ridge_filter(w, V, lam)
@@ -342,5 +343,10 @@ def postprocess_affinity(C, tau):
 
 
 def default_approx_rank(n, k):
-    """Low-rank shortcut kicks in above 5000 points; rank 20k works well in practice."""
+    """Rank 20k above 5000 points, else None (exact klsr). Low-rank klsr is
+    another affinity: its C lies 0.32-0.94 of |C_exact|_F from exact C
+    (n = 1500-3000, lam 1 to 0.01), and on the landmark-n6000-k10 benchmark
+    inputs it wins with reg 65 and 46 where exact klsr scores 2.7 and 0.86;
+    an exact-only grid picks lsr, at accuracy 0.9993 and 0.9977 against
+    0.9998 for both."""
     return 20 * k if n > 5000 else None

@@ -160,6 +160,7 @@ def _run(args):
     for rep in range(args.repeats):
         rep_seed = args.seed + rep
         t0 = time.perf_counter()
+        options = {"seed": rep_seed, "eps": args.eps, "score": args.score, "threads": threads}
         if args.landmarks > 0:
             net_cfg = NetConfig(
                 hidden=args.hidden,
@@ -171,20 +172,13 @@ def _run(args):
             )
             partition, result = landmark_cluster(
                 X, args.k, space, args.landmarks, net_cfg,
-                seed=rep_seed, mode=args.search, budget_per_model=args.budget,
-                eps=args.eps, score=args.score, threads=threads,
+                mode=args.search, budget_per_model=args.budget, **options,
             )
-        elif args.search == "bo":
-            result = bo_search(
-                X, args.k, space, budget_per_model=args.budget,
-                seed=rep_seed, eps=args.eps, score=args.score, threads=threads,
-            )
-            partition = result.partition
         else:
-            result = grid_search(
-                X, args.k, space, eps=args.eps, seed=rep_seed,
-                score=args.score, threads=threads,
-            )
+            if args.search == "bo":
+                result = bo_search(X, args.k, space, budget_per_model=args.budget, **options)
+            else:
+                result = grid_search(X, args.k, space, **options)
             partition = result.partition
         elapsed = time.perf_counter() - t0
 

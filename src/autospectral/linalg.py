@@ -1,7 +1,8 @@
 """Dense and sparse numerical kernels shared by the rest of the package.
 
-Two workhorses live here: a randomized truncated SVD (range finder with
-power iterations) and a partial symmetric eigensolver (LAPACK for small
+Two workhorses live here: a randomized partial eigensolver for dense
+symmetric matrices (subspace iteration plus Rayleigh-Ritz, Ritz pairs kept
+by magnitude) and a partial symmetric eigensolver (LAPACK for small
 operators; ARPACK per connected component for large sparse ones, so repeated
 eigenvalues of graph operators keep their multiplicities).
 
@@ -11,21 +12,11 @@ deterministic given their seed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import EigsolverError
-
-
-class SvdFactors(NamedTuple):
-    """Truncated SVD ``M ~ U @ diag(s) @ V.T`` with s sorted descending."""
-
-    U: np.ndarray
-    s: np.ndarray
-    V: np.ndarray
 
 
 def check_finite(M, name="matrix"):
@@ -47,47 +38,25 @@ def unit_columns(X):
     return X / norms
 
 
-def randomized_svd(M, rank, oversample=10, seed=0):
-    """Rank-``rank`` randomized SVD of a dense matrix.
-
-    Gaussian test matrix, QR range finder, two power iterations with
-    re-orthonormalization between products. Deterministic given ``seed``.
-
-    Parameters
-    ----------
-    M : (m, n) array_like
-    rank : int
-        Number of singular triplets to return; requires
-        ``rank + oversample <= min(m, n)``.
-    oversample : int
-        Extra columns carried by the range finder.
-    seed : int
-
-    Returns
-    -------
-    SvdFactors
-        ``U`` (m, rank), ``s`` (rank,) descending, ``V`` (n, rank).
+def randomized_eigh(M, rank, seed=0):
+    """``(w, V)``: the ``rank`` Ritz pairs of largest |w| of a dense symmetric
+    M, by subspace iteration (Halko, Martinsson & Tropp 2011): six products
+    with M, each followed by a QR, from a seeded Gaussian block of ``rank +
+    min(10, n - rank)`` columns, then Rayleigh-Ritz, ``eigh(Q' M Q)``. Ranked
+    by |w|, stably, as an SVD ranks them, so a large negative w stays in sight.
     """
     M = check_finite(M, "M")
-    m, n = M.shape
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if oversample < 0:
-        raise ValueError("oversample must be >= 0")
-    ell = rank + oversample
-    if ell > min(m, n):
-        raise ValueError(f"rank + oversample = {ell} exceeds min(m, n) = {min(m, n)}")
-
-    rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((n, ell))
-    Q, _ = np.linalg.qr(M @ omega)
-    for _ in range(2):
-        Q, _ = np.linalg.qr(M.T @ Q)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("M must be square")
+    n = M.shape[0]
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank must be in [1, {n}]")
+    Q = np.random.default_rng(seed).standard_normal((n, rank + min(10, n - rank)))
+    for _ in range(6):
         Q, _ = np.linalg.qr(M @ Q)
-    B = Q.T @ M
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    U = Q @ Ub[:, :rank]
-    return SvdFactors(U, s[:rank], Vt[:rank].T)
+    w, U = np.linalg.eigh(Q.T @ (M @ Q))
+    top = np.argsort(-np.abs(w), kind="stable")[:rank]
+    return w[top], Q @ U[:, top]
 
 
 # Largest operator order solved densely by LAPACK. Above it, the operator is

@@ -65,14 +65,10 @@ def mncut(partition, graph):
         raise ValueError("partition and graph disagree on n")
     if np.any(graph.degrees <= 0):
         raise ValueError("graph has a zero-degree vertex")
-    masks = _block_masks(partition)
-    A = graph.a
     total = 0.0
-    for mask in masks:
+    for mask in _block_masks(partition):
         vol = float(graph.degrees[mask].sum())
-        inside = float(A[mask][:, mask].sum())
-        cut = float(graph.degrees[mask].sum()) - inside
-        total += cut / vol
+        total += (vol - float(graph.a[mask][:, mask].sum())) / vol
     return total
 
 

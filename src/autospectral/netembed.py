@@ -18,7 +18,7 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .kmeans import kmeans, kmeans_centers
 from .linalg import check_finite, unit_columns
-from .search import SEARCH_MAX_N, bo_search, grid_search
+from .search import SEARCH_MAX_N, bo_search, check_search_options, grid_search
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -217,8 +217,9 @@ def landmark_cluster(
     batches of at most ``n_landmarks`` columns, and is applied to all of X;
     k-means on the result gives the final partition.
 
-    ``n_landmarks`` must be in [k + 1, n) and at most ``SEARCH_MAX_N``; it is
-    checked before the landmark k-means runs.
+    ``n_landmarks`` must be in [k + 1, n) and at most ``SEARCH_MAX_N``. It,
+    ``mode``, ``score``, ``eps`` and, in BO mode, ``budget_per_model`` are
+    checked before the landmark k-means runs, by the search's own checks.
 
     Returns
     -------
@@ -235,6 +236,7 @@ def landmark_cluster(
         )
     if mode not in ("grid", "bo"):
         raise ValueError("mode must be 'grid' or 'bo'")
+    check_search_options(score, eps, budget_per_model if mode == "bo" else None)
     landmarks = unit_columns(kmeans_centers(X, n_landmarks, seed=seed))
     if mode == "grid":
         result = grid_search(X=landmarks, k=k, space=space, eps=eps, seed=seed, score=score, threads=threads)

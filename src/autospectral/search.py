@@ -37,7 +37,7 @@ from .affinity import (
 from .errors import DegenerateError, NumericalError, SearchFailedError
 from .kmeans import Partition, kmeans
 from .linalg import check_finite
-from .spectra import laplacian_spectrum, plain_eigen_gap, relative_eigen_gap, spectral_embedding
+from .spectra import check_eps, laplacian_spectrum, plain_eigen_gap, relative_eigen_gap, spectral_embedding
 
 SCORE_KINDS = ("reg", "eg")
 
@@ -233,18 +233,30 @@ class _Keeper:
         self.scores.append(_released(score))
 
 
-def _search(X, k, models, seed, score, threads, score_model):
-    """The frame both drivers share: check the input, score each model's
-    candidates with ``score_model(X, model, child, approx_rank, keep)``,
-    which gets the model's own child of ``seed`` and passes each
-    CandidateScore to ``keep``, and cluster the winner.
+def check_search_options(score, eps, budget_per_model=None):
+    """Reject a ``score`` kind or an ``eps`` that a search cannot use, or a
+    BO ``budget_per_model`` that does not cover the initial design."""
+    if score not in SCORE_KINDS:
+        raise ValueError(f"score must be one of {SCORE_KINDS}")
+    check_eps(eps)
+    if budget_per_model is not None and budget_per_model < BO_INIT_DESIGN:
+        raise ValueError(
+            f"budget_per_model must cover the initial design of {BO_INIT_DESIGN} points "
+            f"(got {budget_per_model})"
+        )
+
+
+def _search(X, k, models, seed, score, eps, threads, score_model, budget_per_model=None):
+    """The frame both drivers share: check the options (BO's budget too) and
+    the input, score each model's candidates with ``score_model(X, model,
+    child, approx_rank, keep)`` on the model's own child of ``seed``,
+    passing each CandidateScore to ``keep``, and cluster the winner.
 
     Each model gets its own ``_Keeper``, so ``threads > 1`` runs the models
     concurrently without sharing state or changing any result. The scores
     keep model order.
     """
-    if score not in SCORE_KINDS:
-        raise ValueError(f"score must be one of {SCORE_KINDS}")
+    check_search_options(score, eps, budget_per_model)
     X = _checked_points(X, k)
     approx = default_approx_rank(X.shape[1], k)
     pairs = list(zip(models, np.random.SeedSequence(seed).spawn(len(models))))
@@ -302,29 +314,33 @@ def grid_search(X, k, space, eps=1e-6, seed=0, score="reg", threads=1):
             for cs in _score_taus(X, k, configs, seed, eps):
                 keep(cs)
 
-    return _search(X, k, space.models, seed, score, threads, model_scores)
+    return _search(X, k, space.models, seed, score, eps, threads, model_scores)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian-process surrogate
 
 
+def _matern52(r2, amplitude):
+    """Overwrite the squared distances ``r2`` with the Matern-5/2 kernel
+    amplitude (1 + sqrt(5 r2) + 5/3 r2) exp(-sqrt(5 r2)), rounded as that
+    expression is, and return it."""
+    root = np.multiply(r2, 5.0)
+    np.sqrt(root, out=root)
+    E = np.negative(root)
+    np.exp(E, out=E)
+    root += 1.0
+    r2 *= 5.0 / 3.0
+    r2 += root
+    r2 *= amplitude
+    r2 *= E
+    return r2
+
+
 def _matern_cross(A, B, amplitude, lengthscales):
     diff = A[:, None, :] - B[None, :, :]
     diff /= np.asarray(lengthscales, dtype=np.float64)
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    # amplitude (1 + sqrt(5 r2) + 5/3 r2) exp(-sqrt(5 r2)), rounded as that
-    # expression is, in place
-    K = np.multiply(r2, 5.0)
-    np.sqrt(K, out=K)
-    E = np.negative(K)
-    np.exp(E, out=E)
-    K += 1.0
-    r2 *= 5.0 / 3.0
-    K += r2
-    K *= amplitude
-    K *= E
-    return K
+    return _matern52(np.einsum("ijk,ijk->ij", diff, diff), amplitude)
 
 
 class _Posterior:
@@ -534,16 +550,9 @@ def fit_gp_hyperparams(S, y, init=None):
         r^2 in ``P`` plus 1e-8 on the diagonal; overwrites ``P``. Nothing
         else of the stack is set."""
         B = len(P)
-        # Matern-5/2, (1 + sqrt(5 r2) + 5/3 r2) exp(-sqrt(5 r2)), in place
-        Q = np.multiply(P, 5.0)
-        np.sqrt(Q, out=Q)
-        E = np.negative(Q)
-        np.exp(E, out=E)
-        Q += 1.0
-        P *= 5.0 / 3.0
-        P += Q
-        P *= E
-        del Q, E
+        # unit amplitude; the transform's temporaries are freed before the
+        # stack is allocated
+        _matern52(P, 1.0)
         M = np.empty((B, n1, n1))
         M.reshape(B, n1 * n1)[:, flat] = P
         M.reshape(B, n1 * n1)[:, : t * (n1 + 1) : n1 + 1] += 1e-8
@@ -759,13 +768,8 @@ def bo_search(X, k, space, budget_per_model=30, seed=0, eps=1e-6, score="reg", t
     Integer hyperparameters relax to continuous values and round at
     evaluation time. Deterministic given seed.
     """
-    if budget_per_model < BO_INIT_DESIGN:
-        raise ValueError(
-            f"budget_per_model must cover the initial design of {BO_INIT_DESIGN} points "
-            f"(got {budget_per_model})"
-        )
 
     def model_scores(X, model, child, approx, keep):
         _bo_one_model(X, k, model, budget_per_model, child, seed, eps, score, approx, keep)
 
-    return _search(X, k, space.models, seed, score, threads, model_scores)
+    return _search(X, k, space.models, seed, score, eps, threads, model_scores, budget_per_model)

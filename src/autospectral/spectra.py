@@ -56,14 +56,19 @@ def laplacian_spectrum(graph, k, seed=0):
     return LaplacianSpectrum(k=k, sigmas=sigmas, vectors=vecs[:, :k].copy())
 
 
+def check_eps(eps):
+    """Require a finite eps > 0: a NaN makes every score NaN, an inf every score 0."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be finite and positive")
+
+
 def relative_eigen_gap(spectrum, eps=1e-6):
     """(sigma_{k+1} - mean of the k smallest) / (that mean + eps).
 
     Scale-free candidate quality score; can be negative when the (k+1)-th
     eigenvalue dips below the mean of the first k.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     k = spectrum.k
     mean_low = float(np.mean(spectrum.sigmas[:k]))
     return (float(spectrum.sigmas[k]) - mean_low) / (mean_low + eps)

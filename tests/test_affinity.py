@@ -116,6 +116,17 @@ class TestKernelMatrix:
         with pytest.raises(DegenerateDataError):
             kernel_matrix(X, KernelSpec("gaussian"))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "polynomial"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_exactly_symmetric(self, kind, layout):
+        # at n = 300, X'X of the strided view X[:, ::2] is not symmetric to
+        # the last bit unless the view is copied contiguous first
+        X = np.random.default_rng(9).standard_normal((30, 600))
+        X = {"C": X[:, :300].copy(), "F": np.asfortranarray(X[:, :300]), "strided": X[:, ::2]}[layout]
+        spec = KernelSpec(kind, offset=1.0, degree=3) if kind == "polynomial" else KernelSpec(kind)
+        K = kernel_matrix(X, spec)
+        assert np.array_equal(K, K.T)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             KernelSpec("gaussian", xi=0.0)

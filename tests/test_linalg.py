@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from autospectral import linalg
 from autospectral.errors import EigsolverError
-from autospectral.linalg import check_finite, partial_sym_eigs, randomized_svd
+from autospectral.linalg import check_finite, partial_sym_eigs, randomized_eigh
 from autospectral.spectra import laplacian_spectrum
 
 
@@ -41,55 +41,62 @@ class TestCheckFinite:
         assert np.array_equal(M, [[1.0, -2.0], [3.0, 4.0]])
 
 
-class TestRandomizedSvd:
-    def test_identity_singular_values(self):
-        f = randomized_svd(np.eye(5), rank=5, oversample=0, seed=0)
-        np.testing.assert_allclose(f.s, np.ones(5), atol=1e-12)
+class TestRandomizedEigh:
+    @staticmethod
+    def symmetric(seed, values):
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(values), len(values))))
+        M = (Q * np.asarray(values, dtype=np.float64)) @ Q.T
+        return (M + M.T) / 2.0
 
-    def test_rank_one_exact_recovery(self):
-        rng = np.random.default_rng(3)
-        u = rng.standard_normal(8)
-        v = rng.standard_normal(6)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        M = np.outer(u, v)
-        f = randomized_svd(M, rank=1, oversample=5, seed=1)
-        assert abs(f.s[0] - 1.0) <= 1e-8
-        recon = f.U @ np.diag(f.s) @ f.V.T
-        assert np.linalg.norm(M - recon) <= 1e-8
+    def test_identity_eigenvalues(self):
+        w, V = randomized_eigh(np.eye(5), rank=5, seed=0)
+        np.testing.assert_allclose(w, np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-12)
 
-    def test_near_optimal_on_random_matrix(self):
-        # oracle: optimal rank-10 error from the eigenvalues of M^T M
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((50, 40))
-        gram_eigs = np.sort(np.linalg.eigvalsh(M.T @ M))[::-1]
-        optimal = np.sqrt(np.sum(gram_eigs[10:]))
-        f = randomized_svd(M, rank=10, seed=2)
-        err = np.linalg.norm(M - f.U @ np.diag(f.s) @ f.V.T)
-        assert err <= 1.2 * optimal
+    def test_exact_recovery_at_exact_rank(self):
+        B = np.random.default_rng(3).standard_normal((12, 3))
+        M = B @ B.T  # PSD of exact rank 3
+        w, V = randomized_eigh(M, rank=3, seed=1)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(M)[::-1][:3], rtol=1e-10)
+        assert np.linalg.norm(M - (V * w) @ V.T) <= 1e-8
 
-    def test_orthonormal_factors(self):
-        rng = np.random.default_rng(11)
-        M = rng.standard_normal((30, 20))
-        f = randomized_svd(M, rank=6, seed=0)
-        np.testing.assert_allclose(f.U.T @ f.U, np.eye(6), atol=1e-8)
-        np.testing.assert_allclose(f.V.T @ f.V, np.eye(6), atol=1e-8)
-        assert np.all(np.diff(f.s) <= 1e-12)
+    def test_near_optimal_against_eigh_oracle(self):
+        # oracle: the best rank-10 error keeps the 10 largest |eigenvalues|
+        M = self.symmetric(7, np.random.default_rng(8).standard_normal(50))
+        values = np.linalg.eigvalsh(M)
+        optimal = np.sqrt(np.sum(np.sort(values**2)[::-1][10:]))
+        w, V = randomized_eigh(M, rank=10, seed=2)
+        assert np.linalg.norm(M - (V * w) @ V.T) <= 1.2 * optimal
+
+    def test_orthonormal_ritz_vectors_by_magnitude(self):
+        M = self.symmetric(11, np.linspace(-3.0, 2.0, 30))
+        w, V = randomized_eigh(M, rank=6, seed=0)
+        np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-10)
+        assert np.all(np.diff(np.abs(w)) <= 1e-12)
+        # the Ritz values are the Rayleigh quotients of their vectors
+        np.testing.assert_allclose(np.einsum("ij,ij->j", V, M @ V), w, atol=1e-10)
+
+    def test_large_negative_eigenvalue_kept(self):
+        # an algebraic top 3 would drop -5; ranked by magnitude it comes first
+        w, _ = randomized_eigh(self.symmetric(5, [3.0, 2.0, -5.0] + [1e-12] * 7), rank=3, seed=0)
+        np.testing.assert_allclose(w, [-5.0, 3.0, 2.0], atol=1e-10)
 
     def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((25, 18))
-        a = randomized_svd(M, rank=4, seed=42)
-        b = randomized_svd(M, rank=4, seed=42)
-        assert np.array_equal(a.U, b.U)
-        assert np.array_equal(a.s, b.s)
-        assert np.array_equal(a.V, b.V)
+        M = self.symmetric(5, np.random.default_rng(6).standard_normal(18))
+        a = randomized_eigh(M, rank=4, seed=42)
+        b = randomized_eigh(M, rank=4, seed=42)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
-    def test_dimension_violation(self):
-        with pytest.raises(ValueError):
-            randomized_svd(np.eye(5), rank=5, oversample=10)
-        with pytest.raises(ValueError):
-            randomized_svd(np.eye(5), rank=0)
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="rank must be in"):
+            randomized_eigh(np.eye(5), rank=0)
+        with pytest.raises(ValueError, match="rank must be in"):
+            randomized_eigh(np.eye(5), rank=6)
+        with pytest.raises(ValueError, match="must be square"):
+            randomized_eigh(np.ones((4, 5)), rank=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            randomized_eigh(np.diag([1.0, np.nan, 2.0]), rank=2)
 
 
 class TestPartialSymEigs:

@@ -343,6 +343,23 @@ class TestLandmarkPipeline:
             landmark_cluster(X, 2, default_search_space(), 10, NetConfig(), mode="random")
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"score": "bogus"}, "score must be"),
+            ({"eps": 0.0}, "eps must be"),
+            ({"mode": "bo", "budget_per_model": 3}, "budget_per_model must cover"),
+        ],
+        ids=["score", "eps", "bo-budget"],
+    )
+    def test_search_options_rejected_before_landmark_kmeans(self, monkeypatch, options, message):
+        X, _ = random_subspaces(k=2, ambient_dim=10, intrinsic_dim=2, per_cluster=20, seed=0)
+        calls = []
+        monkeypatch.setattr(netembed, "kmeans_centers", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            landmark_cluster(X, 2, default_search_space(), 10, NetConfig(), **options)
+        assert calls == []
+
     def test_landmarks_above_search_ceiling_rejected_before_landmark_kmeans(self, monkeypatch):
         X = np.random.default_rng(0).standard_normal((3, SEARCH_MAX_N + 50))
         calls = []

@@ -920,6 +920,27 @@ def subspace_data(seed=0, noise=0.01):
     )
 
 
+@pytest.mark.parametrize("driver", ["grid", "bo"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"eps": math.nan}, "eps must be"),
+        ({"eps": math.inf}, "eps must be"),
+        ({"eps": 0.0}, "eps must be"),
+        ({"score": "bogus"}, "score must be"),
+    ],
+    ids=["eps-nan", "eps-inf", "eps-zero", "score-bogus"],
+)
+def test_bad_options_rejected_before_any_coefficients(monkeypatch, driver, options, message):
+    X, _ = subspace_data()
+    calls = []
+    monkeypatch.setattr(search, "build_coefficients", lambda *a, **kw: calls.append(a))
+    run = grid_search if driver == "grid" else functools.partial(bo_search, budget_per_model=8)
+    with pytest.raises(ValueError, match=message):
+        run(X, 3, default_search_space(), **options)
+    assert calls == []
+
+
 class TestGridSearch:
     def test_single_candidate_space(self):
         X, _ = subspace_data()

@@ -88,8 +88,9 @@ class TestGapScores:
 
     def test_eps_validation(self):
         s = LaplacianSpectrum(k=1, sigmas=np.array([0.0, 1.0]), vectors=np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            relative_eigen_gap(s, eps=0.0)
+        for eps in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                relative_eigen_gap(s, eps=eps)
 
 
 class TestSpectralEmbedding:

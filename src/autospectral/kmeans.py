@@ -48,8 +48,10 @@ class Partition:
 # block's rows x k tile in cache.
 _TILE = 32768
 
-# Rows per distance product in _assign; see its docstring for why 960.
+# Rows per distance product in _assign, and the distance products its
+# buffer holds (512 KiB) before blocks shrink; see its docstring.
 _BLOCK = 960
+_BUFFER = 65536
 
 
 def _sq_norms(A):
@@ -66,41 +68,57 @@ def _sq_dists(d, g2):
     return np.maximum(d, 0.0, out=d)
 
 
+def _blocks(n, k):
+    """(start, end) rows of _assign's blocks of P; see its docstring."""
+    fit = _BUFFER // k
+    block = max(480, 48 * (1200 // (48 * k) + 1), min(_BLOCK, fit // 48 * 48))
+    starts = range(0, max(n - block, 0) + 1, block)
+    last = starts[-1]
+    if n - last > fit:
+        last = max(n - block, 0) // 48 * 48
+    return [(s, s + block) for s in starts if s < last] + [(last, n)]
+
+
 def _assign(P, pn, centers):
     """Nearest center of every row of P and its squared distance; ties take
     the lowest center.
 
-    Every p.c comes from a product over a block of ``_BLOCK`` rows, written
-    into one reused buffer, so no array spans all n rows times k; inside a
-    block the distances run in tiles whose rows x k stay in cache. The
-    block's |p|^2 + |c|^2 is the product [|p|^2, 1] @ [1; |c|^2]: the same
-    single rounding as the sum, at a quarter of the cost of numpy's
-    broadcast add.
+    Every p.c comes from a product over a block of rows, written into one
+    reused buffer, so no array spans all n rows times k; inside a block the
+    distances run in tiles whose rows x k stay in cache. The block's
+    |p|^2 + |c|^2 is the product [|p|^2, 1] @ [1; |c|^2]: the same single
+    rounding as the sum, at a quarter of the cost of numpy's broadcast add.
 
     On one OpenBLAS thread (Haswell kernel, 12-row groups) the blocks round
     every p.c as the one-pass product ``P @ (2 C).T`` does, so labels and
     distances stay bit-identical, when every block starts at a multiple of
-    48 rows and holds at least 480 rows and more than 1200 / k rows. Smaller
-    products (for m >= 60) and single rows take another BLAS path. Hence
-    ``_BLOCK`` is 960, since k = 2 needs 601 rows, and the last block takes
-    the remainder too, up to 2 ``_BLOCK`` - 1 rows. This was checked for k
-    in {1, 2, 3, 4, 10, 12, 300, 500, 1000} and m in {1, 10, 17, 60, 784}.
-    Blocks of 512 or 1024 rows differed where a block's last 4 rows meet
-    the column tail when k % 8 == 4. Threaded BLAS already rounds the
-    one-pass product differently from one thread.
+    48 rows and holds at least 480 rows and more than 1200 / k rows.
+    Smaller products (for m >= 60) and single rows take another BLAS path.
+    A block holds ``_BLOCK`` = 960 rows, or, where a buffer of ``_BUFFER``
+    products holds fewer, the largest multiple of 48 it holds, but never
+    fewer rows than the bound above. Blocks start at multiples of the block
+    size, and the last one runs to n. It takes the remainder too where the
+    buffer holds that; otherwise it starts at the largest multiple of 48 at
+    or below n minus a block and recomputes, bit for bit, the rows it
+    shares with the block before. So k = 10 keeps 960-row blocks with the
+    remainder in the last one (at most 1919 rows), and k = 300 runs 480-row
+    blocks whose last one holds at most 527 rows. This was checked for k in
+    {1, 2, 3, 4, 10, 12, 300, 500, 1000}, m in {1, 10, 17, 60, 784} and n
+    from k to 7777. Blocks of 512 or 1024 rows differed where a block's
+    last 4 rows meet the column tail when k % 8 == 4. Threaded BLAS already
+    rounds the one-pass product differently from one thread.
     """
     n, k = P.shape[0], centers.shape[0]
     pn1 = np.column_stack((pn, np.ones(n)))
     cn1 = np.vstack((np.ones(k), _sq_norms(centers)))
     c2t = (2.0 * centers).T
-    # blocks start at multiples of _BLOCK; the last also takes the remainder
-    bounds = [0, *range(_BLOCK, n - _BLOCK + 1, _BLOCK), n]
-    g2 = np.empty((n - bounds[-2], k))
+    blocks = _blocks(n, k)
+    g2 = np.empty((n - blocks[-1][0], k))
     rows = max(1, _TILE // k)
     tile = np.empty((min(rows, n), k))
     labels = np.empty(n, dtype=np.intp)
     mind2 = np.empty(n)
-    for b, e in zip(bounds, bounds[1:]):
+    for b, e in blocks:
         g2b = np.matmul(P[b:e], c2t, out=g2[: e - b])
         for s in range(b, e, rows):
             t = min(s + rows, e)

@@ -121,10 +121,18 @@ def partial_sym_eigs(M, count, seed=0):
 
 
 def _dense_top(M, count):
-    """Top ``count`` eigenpairs by LAPACK, values descending."""
+    """Top ``count`` eigenpairs by LAPACK, values descending.
+
+    A sparse M is densified in Fortran order, which LAPACK overwrites in
+    place with no transposing copy; a dense M is the caller's, and LAPACK
+    works on a copy of it.
+    """
     n = M.shape[0]
-    A = M.toarray() if sp.issparse(M) else M
-    values, vectors = scipy.linalg.eigh(A, subset_by_index=[n - count, n - 1], check_finite=False)
+    own = sp.issparse(M)
+    A = M.toarray(order="F") if own else M
+    values, vectors = scipy.linalg.eigh(
+        A, subset_by_index=[n - count, n - 1], overwrite_a=own, check_finite=False
+    )
     return values[::-1], vectors[:, ::-1]
 
 

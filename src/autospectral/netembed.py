@@ -94,11 +94,12 @@ def net_forward(params, X, activation="relu"):
     the hidden layer never spans all of X. Blocks start at multiples of 128
     columns, which keeps each column where a one-pass product's tiling puts
     it: on OpenBLAS the result equals ``_embed`` bit for bit, where blocks
-    of 1310 columns differed in the last bits.
+    of 1310 columns differed in the last bits. Z is Fortran-ordered, so
+    ``kmeans`` reads its columns as the rows of ``Z.T`` without a copy.
     """
     X = np.asarray(X)
     cols = max(1, _FORWARD_ENTRIES // (128 * params.w1.shape[0])) * 128
-    Z = np.empty((params.w2.shape[0], X.shape[1]))
+    Z = np.empty((params.w2.shape[0], X.shape[1]), order="F")
     for lo in range(0, X.shape[1], cols):
         Z[:, lo : lo + cols] = _embed(params, X[:, lo : lo + cols], activation)
     return Z

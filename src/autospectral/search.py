@@ -131,13 +131,14 @@ def _objective(score, kind):
 
 
 # Largest point count a search runs on. Under tracemalloc at n = 2000,
-# evaluate_candidate peaked at 3.0 n^2 * 8 bytes for each of lsr, klsr
+# evaluate_candidate peaked at 2.14 n^2 * 8 bytes for each of lsr, klsr
 # (whose Cholesky solve works in place in its one copy of K) and
-# kernel_direct, as did a one-model lsr grid_search. At 10 000 points that
-# is about 2.4 GB; the ceiling stays where five arrays (4.0 GB, half of an
-# 8 GB host) put it until a memory test at a higher ceiling backs a
-# change. Larger inputs go through the landmark path. With threads > 1,
-# each model that runs concurrently holds its own such arrays.
+# kernel_direct, as did a one-model lsr grid_search: C, |C| and a boolean
+# mask of the kept entries. At 10 000 points that is about 1.7 GB; the
+# ceiling stays where five arrays (4.0 GB, half of an 8 GB host) put it
+# until a memory test at a higher ceiling backs a change. Larger inputs go
+# through the landmark path. With threads > 1, each model that runs
+# concurrently holds its own such arrays.
 SEARCH_MAX_N = 10_000
 
 

@@ -132,8 +132,9 @@ class TestCenters:
         assert np.array_equal(kmeans_centers(X, 4, seed=11), kmeans_centers(X, 4, seed=11))
 
     def test_memory_ceiling(self):
-        # the landmark workload's shape; one distance product over all 6000
-        # rows held 6000 x 300 entries and peaked at 18.0 MB
+        # the landmark workload's shape, C-ordered, so its rows are copied
+        # once (2.88 MB); one distance product over all 6000 rows would hold
+        # 6000 x 300 entries (14.4 MB), and 480-row blocks hold 1.15 MB
         rng = np.random.default_rng(11)
         X = rng.standard_normal((60, 6000))
         tracemalloc.start()
@@ -142,7 +143,7 @@ class TestCenters:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7e6
+        assert peak < 5.5e6
 
     def test_reads_f_ordered_x_in_place(self):
         # X dominates this shape: a copy of it alone would be X.nbytes
@@ -341,14 +342,27 @@ print(json.dumps(out))
 """
 
 _B = kmeans_module._BLOCK
-# two full blocks and a ragged 120 rows; k = 4 and 300 hit the k % 8 == 4
-# column tail. A last block of 1 row, or of r rows with r * k <= 1200, would
-# take another BLAS path on its own, so it joins the block before.
-ONE_PASS_SHAPES = [(2 * _B + 120, k, m) for k in (4, 10, 300, 1000) for m in (10, 60)] + [
-    (2 * _B + 1, 10, 60),
-    (2 * _B + 600, 2, 60),
-    (3 * _B, 4, 60),
-]
+# (n, k, m) -> (blocks, whether the last overlaps the one before). k = 4 and
+# 300 hit the k % 8 == 4 column tail. A last block of 1 row, or of r rows
+# with r * k <= 1200, would take another BLAS path on its own, so at small k
+# it takes the remainder of 960-row blocks; at k = 300 and 1000, 480-row
+# blocks end in one that starts on a multiple of 48 and overlaps the block
+# before. k = 1 needs 1248-row blocks, k = 2 keeps 960 above its 624.
+ONE_PASS_SHAPES = {
+    **{(2 * _B + 120, k, m): (2, False) for k in (4, 10) for m in (10, 60)},
+    **{(2 * _B + 120, k, m): (5, True) for k in (300, 1000) for m in (10, 60)},
+    (2 * _B + 1, 10, 60): (2, False),
+    (2 * _B + 600, 2, 60): (2, False),
+    (3 * _B, 4, 60): (3, False),
+    (6000, 10, 60): (6, False),  # the landmark path's final k-means
+    (6000, 300, 60): (13, True),  # its landmark k-means
+    (528, 300, 60): (2, True),
+    (479, 300, 60): (1, False),  # below one block
+    (481, 300, 60): (1, False),  # a row above one block: still one
+    (_B + 1, 10, 60): (1, False),
+    (2 * 1248 + 120, 1, 60): (2, False),
+    (3 * _B + 47, 2, 10): (3, False),
+}
 
 
 @pytest.fixture(scope="module")
@@ -360,14 +374,41 @@ def one_pass_results():
         "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1",
     }
-    args = [sys.executable, "-c", _ONE_PASS_CHECK, json.dumps(ONE_PASS_SHAPES)]
+    args = [sys.executable, "-c", _ONE_PASS_CHECK, json.dumps(list(ONE_PASS_SHAPES))]
     out = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return dict(zip(ONE_PASS_SHAPES, json.loads(out.stdout)))
 
 
 @pytest.mark.parametrize("shape", ONE_PASS_SHAPES, ids=lambda s: "n%d-k%d-m%d" % s)
 def test_blocked_assign_bit_identical_to_one_pass(shape, one_pass_results):
-    assert shape[0] > 2 * _B  # several blocks, the last one ragged or full
+    starts, ends = zip(*kmeans_module._blocks(*shape[:2]))
+    assert (len(starts), starts[-1] < max(ends[:-1], default=0)) == ONE_PASS_SHAPES[shape]
     labels_equal, mind2_equal = one_pass_results[shape]
     assert labels_equal
     assert mind2_equal
+
+
+def test_block_bounds():
+    # k = 10 keeps 960-row blocks and puts the remainder in the last; k = 300
+    # runs 480-row blocks, the last starting at the largest multiple of 48
+    # at or below n - 480; k = 1 needs blocks of more than 1200 rows
+    blocks = kmeans_module._blocks
+    assert blocks(6000, 10) == [(s, s + 960) for s in range(0, 4800, 960)] + [(4800, 6000)]
+    assert blocks(6000, 300) == [(s, s + 480) for s in range(0, 5281, 480)] + [(5520, 6000)]
+    assert blocks(2616, 1) == [(0, 1248), (1248, 2616)]
+
+
+def test_assign_buffer_ceiling():
+    # the landmark k-means shape: one 480-row buffer of 300 products
+    # (1.15 MB), 256 KiB tiles and a few n-long arrays; a last block that
+    # took the 1200-row remainder would need a 2.88 MB buffer
+    rng = np.random.default_rng(14)
+    P, C = rng.standard_normal((6000, 60)), rng.standard_normal((300, 60))
+    pn = kmeans_module._sq_norms(P)
+    tracemalloc.start()
+    try:
+        kmeans_module._assign(P, pn, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6

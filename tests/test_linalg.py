@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -155,6 +157,28 @@ class TestPartialSymEigs:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             partial_sym_eigs(np.eye(3), count=4)
+
+    def test_sparse_operator_at_the_cut_densified_once(self):
+        # LAPACK works in place in the Fortran-ordered densified operator,
+        # so its peak is one n x n array (a C-ordered one would add
+        # LAPACK's transposed copy: 2.15); results match the dense input's
+        # bit for bit, and a dense input is left untouched
+        n = linalg.DENSE_EIGS_MAX_N
+        A = sp.random(n, n, density=0.05, random_state=np.random.RandomState(6))
+        M = (A + A.T).tocsr()
+        dense = M.toarray()
+        before = dense.copy()
+        partial_sym_eigs(M, count=5)
+        tracemalloc.start()
+        try:
+            vals, vecs = partial_sym_eigs(M, count=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+        dense_vals, dense_vecs = partial_sym_eigs(dense, count=5)
+        assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
+        assert np.array_equal(dense, before)
 
     @given(n=st.integers(3, 12), count=st.integers(1, 3), seed=st.integers(0, 100))
     @settings(max_examples=25, deadline=None)

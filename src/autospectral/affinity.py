@@ -119,20 +119,29 @@ def kernel_matrix(X, spec):
     n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two points")
+    # every step runs in place, so at most two n x n arrays are live; each
+    # rounds as (x'y + offset)**degree and |x|^2 + |y|^2 - 2 x'y would
     if spec.kind == "polynomial":
-        K = (X.T @ X + spec.offset) ** spec.degree
-    else:
-        sq = np.einsum("ij,ij->j", X, X)
-        K = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-        np.maximum(K, 0.0, out=K)
-        K.flat[:: n + 1] = 0.0
-        sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
-        if sigma <= 0.0:
-            raise DegenerateDataError("gaussian bandwidth is zero: all points identical")
-        # exp(-D2 / (2 sigma^2)), rounded as that expression is, in place
-        np.negative(K, out=K)
-        K /= 2.0 * sigma**2
-        np.exp(K, out=K)
+        K = X.T @ X
+        K += spec.offset
+        K **= spec.degree
+        return K
+    sq = np.einsum("ij,ij->j", X, X)
+    # the outer sum comes first: its broadcast takes ufunc buffers too
+    K = np.add.outer(sq, sq)
+    G = X.T @ X
+    G *= 2.0
+    K -= G
+    del G  # freed before sqrt(K) below takes its own n x n array
+    np.maximum(K, 0.0, out=K)
+    K.flat[:: n + 1] = 0.0
+    sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
+    if sigma <= 0.0:
+        raise DegenerateDataError("gaussian bandwidth is zero: all points identical")
+    # exp(-D2 / (2 sigma^2)), rounded as that expression is, in place
+    np.negative(K, out=K)
+    K /= 2.0 * sigma**2
+    np.exp(K, out=K)
     return K
 
 
@@ -181,11 +190,12 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     K must be symmetric, as ``kernel_matrix`` makes it exactly; it is not
     symmetrized here. C = I - lam (K + lam I)^-1 comes from one Cholesky
     factorization and inverse of K + lam I, computed in place in a
-    C-ordered copy Ks of K. A first factorization of Ks + 1e-8 scale I, in
-    the triangle the second one leaves alone, checks that no eigenvalue of
-    K lies below -1e-8 scale. With ``approx_rank`` r, ``ridge_filter`` runs
-    on the r Ritz pairs of largest magnitude from ``randomized_eigh``; a
-    Ritz value below -1e-8 scale raises.
+    C-ordered copy Ks of K; K itself is never written. A first
+    factorization of Ks + 1e-8 scale I, in the triangle the second one
+    leaves alone, checks that no eigenvalue of K lies below -1e-8 scale.
+    With ``approx_rank`` r, ``ridge_filter`` runs on the r Ritz pairs of
+    largest magnitude from ``randomized_eigh``; a Ritz value below -1e-8
+    scale raises.
 
     Raises
     ------
@@ -193,13 +203,18 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
         If K is indefinite beyond a 1e-8 tolerance (relative to its scale),
         or a factorization fails.
     """
-    K = check_finite(K, "K")
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+    return _klsr_in_place(np.array(K, dtype=np.float64, order="C"), lam, approx_rank, seed)
+
+
+def _klsr_in_place(Ks, lam, approx_rank, seed):
+    """``klsr_coefficients`` of Ks, overwriting Ks with C: its caller built
+    Ks and holds no other reference to it, as ``build_coefficients`` does."""
+    Ks = np.ascontiguousarray(check_finite(Ks, "K"))
+    if Ks.ndim != 2 or Ks.shape[0] != Ks.shape[1]:
         raise ValueError("K must be square")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    n = K.shape[0]
-    Ks = K.copy(order="C")
+    n = Ks.shape[0]
     tol = 1e-8 * max(Ks.max(), -Ks.min(), 1.0)
     # the low-rank path sees no eigenvalue outside its top r pairs; a
     # negative diagonal entry still exposes those
@@ -234,20 +249,29 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
 
 
 def build_coefficients(X, config, seed=0):
-    """Dispatch to the configured coefficient model. Independent of tau."""
+    """Dispatch to the configured coefficient model. Independent of tau.
+    klsr solves in place in the kernel matrix built for it."""
     if config.model == MODEL_LSR:
         return lsr_coefficients(X, config.lam)
     K = kernel_matrix(X, config.kernel)
     if config.model == MODEL_KERNEL_DIRECT:
         return K
-    return klsr_coefficients(K, config.lam, approx_rank=config.approx_rank, seed=seed)
+    return _klsr_in_place(K, config.lam, config.approx_rank, seed)
+
+
+class _Handed(np.ndarray):
+    """A coefficient matrix handed to truncation, as ``C.view(_Handed)``,
+    by the code that built it and keeps no other reference to it:
+    ``rank_columns`` and ``postprocess_affinity`` overwrite it instead of
+    copying it. Every other array they take stays untouched."""
 
 
 class ColumnRanking(NamedTuple):
     """The positive entries of W = |C| (zeroed diagonal) that truncation to
     ``depth`` keeps, column by column and down each column, with each one's
     ``rank`` in a stable descending sort of its column (None in a ranking
-    for ``depth`` alone): level tau <= depth keeps the ranks below tau."""
+    for ``depth`` alone): level tau <= depth keeps the ranks below tau.
+    ``cols`` and ``rows`` are int32, the index type of the CSR they build."""
 
     n: int
     depth: int
@@ -257,6 +281,21 @@ class ColumnRanking(NamedTuple):
     rank: np.ndarray | None
 
 
+def _abs_transpose(B):
+    """Overwrite the square array B with |B|', swapping square blocks across
+    the diagonal, and return it: the one temporary is a block."""
+    n, block = len(B), 64
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        np.abs(B[lo:hi, lo:hi].T, out=B[lo:hi, lo:hi])
+        for lo2 in range(hi, n, block):
+            upper, lower = B[lo:hi, lo2 : lo2 + block], B[lo2 : lo2 + block, lo:hi]
+            swap = np.abs(upper)
+            np.abs(lower.T, out=upper)
+            lower[...] = swap.T
+    return B
+
+
 def _kept_entries(C, depth):
     """The unranked ``ColumnRanking`` of C at ``depth``. A partition finds
     each column's depth-th largest value t; the column keeps its positive
@@ -264,15 +303,19 @@ def _kept_entries(C, depth):
     depth: the set a stable descending sort would keep. Raises
     DegenerateCandidateError if a column is all zero off the diagonal.
 
-    ``np.partition`` copies its input, so it runs on blocks of 64 columns,
-    and only their thresholds are kept: besides C, the peak is |C| and a
+    W' = |C|' is taken in a copy of C, freed on return, or in C itself
+    where C is ``_Handed``, by one transposition in place. ``np.partition``
+    copies its input, so it runs on blocks of 64 columns, and only their
+    thresholds are kept. Besides any caller's C, the peak is W' and a
     boolean n x n mask, 1.14 n^2 float64 at n = 2000. t is an exact order
     statistic, so the blocks change no bit of it."""
+    handed = isinstance(C, _Handed)
     C = check_finite(C, "C")
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
     n = C.shape[0]
-    Wt = np.abs(C.T, order="C")  # row j is column j of W
+    # row j of Wt is column j of W
+    Wt = _abs_transpose(C if handed else np.array(C, order="C"))
     Wt.flat[:: n + 1] = 0.0
     if not np.all(np.any(Wt, axis=1)):
         raise DegenerateCandidateError("a column has no off-diagonal mass")
@@ -286,13 +329,18 @@ def _kept_entries(C, depth):
     for j in np.flatnonzero(np.count_nonzero(keep, axis=1) > d):
         tied = np.flatnonzero(Wt[j] == t[j])
         keep[j, tied[d - np.count_nonzero(Wt[j] > t[j]) :]] = False
-    cols, rows = np.divmod(np.flatnonzero(keep), n)
-    return ColumnRanking(n, depth, cols, rows, Wt[cols, rows], None)
+    # flat indices into W', turned into rows in place: no other index array
+    flat = np.flatnonzero(keep)
+    values = Wt.ravel()[flat]
+    cols = np.repeat(np.arange(n, dtype=np.int32), np.count_nonzero(keep, axis=1))
+    flat %= n
+    return ColumnRanking(n, depth, cols, flat.astype(np.int32), values, None)
 
 
 def rank_columns(C, depth):
     """The ``ColumnRanking`` of C at ``depth``, which lets a grid of tau
-    values up to ``depth`` share one partition of C's columns."""
+    values up to ``depth`` share one partition of C's columns. C is left
+    untouched unless it is ``_Handed``."""
     ranking = _kept_entries(C, depth)
     # entries run column by column and down each column, so a stable sort
     # by column, then by descending value, ranks ties lowest row first
@@ -316,8 +364,11 @@ def _column_graph(ranking, tau):
     if not np.all(np.isfinite(sums)):
         raise DegenerateCandidateError("the kept weights of a column overflow float64 when summed")
     wt.data = wt.data / sums[cols]
-    # `/ 2.0` copies the sum out of the arrays it sized for both operands
-    return (wt + wt.T) / 2.0
+    total = wt + wt.T
+    del wt  # W' and W are freed before the halved copy is made
+    # the sum's arrays are sized for both operands: halve trimmed copies
+    nnz = total.nnz
+    return sp.csr_matrix((total.data[:nnz] / 2.0, total.indices[:nnz].copy(), total.indptr), shape=(n, n))
 
 
 def postprocess_affinity(C, tau):
@@ -326,9 +377,10 @@ def postprocess_affinity(C, tau):
     In order: absolute value with zeroed diagonal, per-column truncation to
     the tau largest entries (ties broken by lowest row index), column l1
     normalization, symmetrization A = (W + W')/2. ``C`` is a coefficient
-    matrix, left untouched, or its ``rank_columns`` at a depth of at least
-    tau. W' is built as CSR from each column's kept entries, with no n x n
-    array; column sums and degrees round as numpy's dense sums would.
+    matrix, left untouched unless it is ``_Handed``, or its
+    ``rank_columns`` at a depth of at least tau. W' is built as CSR from
+    each column's kept entries, with no n x n array; column sums and
+    degrees round as numpy's dense sums would.
 
     Raises
     ------
@@ -341,7 +393,12 @@ def postprocess_affinity(C, tau):
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    A = _column_graph(C if isinstance(C, ColumnRanking) else _kept_entries(C, tau), tau)
+    if not isinstance(C, ColumnRanking):
+        C = _kept_entries(C, tau)
+    A = _column_graph(C, tau)
+    # each step frees what the one before it held: rebinding C frees a
+    # handed-over matrix, and this a ranking made here
+    del C
     # a dense row sum is pairwise, so where its zeros sit changes its
     # rounding: sum whole rows of dense blocks
     degrees = np.concatenate([A[lo : lo + 256].toarray().sum(axis=1) for lo in range(0, A.shape[0], 256)])

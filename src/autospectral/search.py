@@ -29,6 +29,7 @@ from .affinity import (
     MODELS,
     CandidateConfig,
     KernelSpec,
+    _Handed,
     build_coefficients,
     default_approx_rank,
     postprocess_affinity,
@@ -130,11 +131,13 @@ def _objective(score, kind):
     return plain_eigen_gap(score.spectrum)
 
 
-# Largest point count a search runs on. Under tracemalloc at n = 2000,
-# evaluate_candidate peaked at 2.14 n^2 * 8 bytes for each of lsr, klsr
-# (whose Cholesky solve works in place in its one copy of K) and
-# kernel_direct, as did a one-model lsr grid_search: C, |C| and a boolean
-# mask of the kept entries. At 10 000 points that is about 1.7 GB; the
+# Largest point count a search runs on. Each candidate owns its n x n
+# arrays: klsr solves in place in the K built for it, and truncation takes
+# |C|' in place in C. Under tracemalloc at n = 2000, evaluate_candidate and
+# a one-model grid_search peaked at 1.14 n^2 * 8 bytes for lsr, set by
+# truncation's W' and boolean mask of the kept entries, and at 2.0 n^2 for
+# klsr and kernel_direct, set by kernel_matrix: the squared distances and
+# the bandwidth's sqrt of them. At 10 000 points that is about 1.6 GB; the
 # ceiling stays where five arrays (4.0 GB, half of an 8 GB host) put it
 # until a memory test at a higher ceiling backs a change. Larger inputs go
 # through the landmark path. With threads > 1, each model that runs
@@ -157,12 +160,11 @@ def _checked_points(X, k):
     return X
 
 
-def _score(C, config, k, seed, eps):
-    """Score one candidate from its coefficient matrix, or from that
-    matrix's ``rank_columns`` at a depth of at least ``config.tau``;
-    degeneracies map to reg = -inf, not exceptions."""
+def _score(graph, config, k, seed, eps):
+    """Score one candidate from its affinity graph ``graph()``; degeneracies
+    map to reg = -inf, not exceptions."""
     try:
-        spectrum = laplacian_spectrum(postprocess_affinity(C, config.tau), k, seed=seed)
+        spectrum = laplacian_spectrum(graph(), k, seed=seed)
     except DegenerateError as exc:
         return _degenerate(config, exc)
     return CandidateScore(config=config, reg=relative_eigen_gap(spectrum, eps), spectrum=spectrum)
@@ -171,25 +173,31 @@ def _score(C, config, k, seed, eps):
 def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
     """Score one candidate; degeneracies map to reg = -inf, not exceptions."""
     X = _checked_points(X, k)
-    try:
-        C = build_coefficients(X, config, seed=seed)
-    except DegenerateError as exc:
-        return _degenerate(config, exc)
-    return _score(C, config, k, seed, eps)
+
+    def graph():
+        # C is handed over unnamed: truncation overwrites it, and, as a
+        # callee owns its arguments from Python 3.11, postprocess_affinity
+        # frees it before the graph is built
+        return postprocess_affinity(build_coefficients(X, config, seed=seed).view(_Handed), config.tau)
+
+    return _score(graph, config, k, seed, eps)
 
 
 def _score_taus(X, k, configs, seed, eps):
     """Yield the scores of the candidates ``configs``, which differ only in
     tau, from one coefficient matrix, whose columns are ranked once at the
-    deepest tau. The matrix is freed before any tau is scored."""
+    deepest tau. The matrix is handed over to the ranking, which overwrites
+    it and frees it before any tau is scored."""
     try:
-        columns = rank_columns(build_coefficients(X, configs[0], seed=seed), max(c.tau for c in configs))
+        columns = rank_columns(
+            build_coefficients(X, configs[0], seed=seed).view(_Handed), max(c.tau for c in configs)
+        )
     except DegenerateError as exc:
         for config in configs:
             yield _degenerate(config, exc)
         return
     for config in configs:
-        yield _score(columns, config, k, seed, eps)
+        yield _score(lambda: postprocess_affinity(columns, config.tau), config, k, seed, eps)
 
 
 def _released(score):
@@ -477,8 +485,11 @@ def _bordered_cholesky(M, r):
 # batch holds at most two arrays of this size at once, the stack and its
 # Cholesky factor; the packed lower triangles the stack is built from, about
 # half this size each, are freed before it is factored. So the budget bounds
-# the fit's memory
-_LML_BUDGET = 2**15
+# the fit's memory: 2 * 128 KiB. From 21 observations on, a refinement batch
+# of 4 starts' 9 candidates exceeds it and runs as two batches of 2 starts,
+# each with its own fixed cost (0.2-0.5 ms more per fit); 2**15 took
+# them in one batch and twice the memory
+_LML_BUDGET = 2**14
 
 # fixed start points every fit scores
 _FIXED_STARTS = 16

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import solve_pd, sorted_postprocess, ties_at_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from autospectral.affinity import (
     rank_columns,
 )
 from autospectral.errors import DegenerateCandidateError, DegenerateDataError, NumericalError
-from autospectral.synthetic import random_poly_curves
+from autospectral.synthetic import random_poly_curves, random_subspaces
 
 
 def lsr_oracle(X, lam):
@@ -485,3 +486,150 @@ class TestLocalityBound:
             for j in range(8):
                 dist = math.sqrt(max(2.0 - 2.0 * math.exp(-sq[i, j] / (2 * sigma**2)), 0.0))
                 assert abs(c[i] - c[j]) <= dist * r_norm / lam + 1e-12
+
+
+def one_line_kernel_matrix(X, spec):
+    """The kernel as one expression per kind, which holds up to three n x n
+    arrays below numpy's temporary-elision size: the oracle for the
+    in-place build."""
+    n = X.shape[1]
+    if spec.kind == "polynomial":
+        return (X.T @ X + spec.offset) ** spec.degree
+    sq = np.einsum("ij,ij->j", X, X)
+    K = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+    np.maximum(K, 0.0, out=K)
+    K.flat[:: n + 1] = 0.0
+    sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
+    np.negative(K, out=K)
+    K /= 2.0 * sigma**2
+    np.exp(K, out=K)
+    return K
+
+
+def summed_column_graph(ranking, tau):
+    """(W + W')/2 of a ranking's level tau as scipy's sum and division give
+    it: the oracle for ``_column_graph``'s trimmed, halved copies."""
+    n, kept = ranking.n, slice(None) if tau == ranking.depth else ranking.rank < tau
+    cols = ranking.cols[kept]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    wt = sp.csr_matrix((ranking.values[kept], ranking.rows[kept], indptr), shape=(n, n))
+    wt.data = wt.data / (wt @ np.ones(n))[cols]
+    return (wt + wt.T) / 2.0
+
+
+MODEL_CONFIGS = (
+    CandidateConfig("lsr", tau=1, lam=0.1),
+    CandidateConfig("klsr", tau=1, lam=0.1, kernel=KernelSpec("gaussian")),
+    CandidateConfig("kernel_direct", tau=1, kernel=KernelSpec("gaussian")),
+)
+
+
+def model_coefficients(n, configs=MODEL_CONFIGS):
+    """Each config's C on n points of three noisy subspaces."""
+    X, _ = random_subspaces(k=3, ambient_dim=30, intrinsic_dim=4, per_cluster=n // 3, noise_std=0.3, seed=0)
+    return [build_coefficients(X, config) for config in configs]
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None or isinstance(w, int):
+            assert g == w
+        else:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestOwningPaths:
+    """A matrix that the search hands over is overwritten in place; every
+    result equals the copying path's bit for bit, and a caller's array is
+    never written."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((5, 10))
+        dup = build_coefficients(np.hstack([X, X[:, :6]]), CandidateConfig("lsr", tau=1, lam=0.1))
+        dup[10:] = dup[:6]
+        out = [rng.integers(-2, 3, (12, 12)).astype(np.float64), dup]
+        out += [rng.standard_normal((n, n)) for n in (2, 63, 64, 65, 129, 200)]
+        return out + model_coefficients(150)
+
+    def test_abs_transpose_in_place(self):
+        for C in self.matrices():
+            B = C.copy()
+            affinity._abs_transpose(B)
+            assert np.array_equal(B, np.abs(C.T))
+
+    def test_handed_ranking_matches_a_callers(self):
+        for C in self.matrices():
+            before = C.copy()
+            for depth in (1, 5, len(C) - 1, len(C) + 3):
+                want = rank_columns(C, depth)
+                assert np.array_equal(C, before)
+                handed = C.copy()
+                got = rank_columns(handed.view(affinity._Handed), depth)
+                assert_same_arrays(got, want)
+                assert want.cols.dtype == want.rows.dtype == np.int32
+                # truncation worked in the handed matrix: it holds W'
+                W = np.abs(C.T)
+                np.fill_diagonal(W, 0.0)
+                assert np.array_equal(handed, W)
+
+    def test_handed_graph_matches_a_callers(self):
+        for C in self.matrices():
+            before = C.copy()
+            for tau in (1, 5, len(C) - 1):
+                try:
+                    want = postprocess_affinity(C, tau)
+                except DegenerateCandidateError as exc:
+                    with pytest.raises(DegenerateCandidateError, match=str(exc)):
+                        postprocess_affinity(C.copy().view(affinity._Handed), tau)
+                    continue
+                got = postprocess_affinity(C.copy().view(affinity._Handed), tau)
+                assert np.array_equal(C, before)
+                assert_same_arrays(
+                    (got.a.data, got.a.indices, got.a.indptr, got.degrees),
+                    (want.a.data, want.a.indices, want.a.indptr, want.degrees),
+                )
+
+    @pytest.mark.parametrize("approx_rank", [None, 20])
+    def test_klsr_in_place_matches_a_copy(self, approx_rank):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((8, 150))
+        for spec in (KernelSpec("gaussian", xi=0.5), KernelSpec("polynomial", offset=1.0, degree=2)):
+            K = kernel_matrix(X, spec)
+            before = K.copy()
+            for lam in (0.01, 1.0):
+                want = klsr_coefficients(K, lam, approx_rank=approx_rank, seed=3)
+                assert np.array_equal(K, before)
+                Ks = K.copy()
+                got = affinity._klsr_in_place(Ks, lam, approx_rank, 3)
+                assert np.array_equal(got, want)
+                if approx_rank is None:
+                    assert got is Ks
+            config = CandidateConfig("klsr", tau=1, lam=0.1, kernel=spec, approx_rank=approx_rank)
+            want = klsr_coefficients(K, 0.1, approx_rank=approx_rank, seed=0)
+            assert np.array_equal(build_coefficients(X, config), want)
+
+    @pytest.mark.parametrize("n", [150, 400])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_kernel_matrix_matches_one_line_expression(self, n, layout):
+        # n = 150 is below numpy's temporary-elision size, n = 400 above it
+        X = np.random.default_rng(n).standard_normal((20, n))
+        X = np.asfortranarray(X) if layout == "F" else X
+        specs = [KernelSpec("gaussian", xi=1.0), KernelSpec("gaussian", xi=0.5)]
+        specs += [KernelSpec("polynomial", offset=o, degree=q) for o in (0.0, 1.0) for q in (1, 2, 3)]
+        for spec in specs:
+            assert np.array_equal(kernel_matrix(X, spec), one_line_kernel_matrix(X, spec))
+
+    @pytest.mark.parametrize("n", [150, 2000])
+    @pytest.mark.parametrize("config", MODEL_CONFIGS, ids=lambda c: c.model)
+    def test_column_graph_matches_summed_halves(self, n, config):
+        # a ranking at depth 50 serves level 50 whole and level 5 by mask
+        ranking = rank_columns(model_coefficients(n, (config,))[0], 50)
+        for tau in (5, 50):
+            got, want = affinity._column_graph(ranking, tau), summed_column_graph(ranking, tau)
+            assert_same_arrays((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr))
+            # trimmed copies: no view keeps the sum's larger arrays alive
+            for a in (got.data, got.indices):
+                assert (a if a.base is None else a.base).size == got.nnz

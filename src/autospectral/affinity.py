@@ -96,17 +96,50 @@ class AffinityGraph:
         return self.a.shape[0]
 
 
+# entries in each block temporary of the gaussian kernel_matrix (64 KiB)
+_KERNEL_BLOCK = 8192
+
+
+def _sqrt_sum(flat, buf):
+    """``np.sqrt(flat).sum()`` bit for bit, for a contiguous 1-D ``flat``,
+    with no temporary larger than ``buf`` (at least 128 entries).
+
+    numpy sums a contiguous array pairwise: more than 128 entries split
+    into a first half rounded down to a multiple of 8 and the rest, each
+    summed the same way, and the two sums added. This follows that split
+    down to pieces that fit in ``buf``, which numpy's own sum of each piece
+    then finishes, and adds the pieces back in the same tree.
+    """
+    size = flat.size
+    if size <= buf.size:
+        return np.sqrt(flat, out=buf[:size]).sum()
+    half = size // 2
+    half -= half % 8
+    return _sqrt_sum(flat[:half], buf) + _sqrt_sum(flat[half:], buf)
+
+
 def kernel_matrix(X, spec):
-    """Dense n x n kernel Gram matrix for the columns of X.
+    """Dense n x n kernel Gram matrix for the columns of X, built in place
+    in the one n x n array it returns.
 
     The gaussian bandwidth is ``xi`` times the mean pairwise distance over
     all n^2 ordered pairs, taken from the squared distances that K is then
-    built from in place. Those come from |x|^2 + |y|^2 - 2 x'y, whose
-    rounding would leave up to ~1e-14 on the diagonal, so the diagonal is
-    set to 0 first: each point's distance to itself adds nothing to the mean,
-    and the gaussian diagonal is exactly 1. K is exactly symmetric: numpy
-    forms X'X of a C- or F-ordered X by a symmetric rank-k update (a strided
-    X is copied first), and every later step is elementwise.
+    built from. Those come from |x|^2 + |y|^2 - 2 x'y, whose rounding would
+    leave up to ~1e-14 on the diagonal, so the diagonal is set to 0 first:
+    each point's distance to itself adds nothing to the mean, and the
+    gaussian diagonal is exactly 1. K is exactly symmetric: numpy forms X'X
+    of a C- or F-ordered X by a symmetric rank-k update (a strided X is
+    copied first), and every later step is elementwise.
+
+    Every entry rounds as the whole-array expressions ``np.add.outer(sq,
+    sq) - 2 X'X`` and ``(X'X + offset)**degree`` would: a row block's
+    |x|^2 + |y|^2 is the product [|x|^2, 1] @ [1; |y|^2], one rounding as
+    the sum, and X'X is doubled in place, which is exact. The bandwidth's
+    sum of distances takes ``_KERNEL_BLOCK`` square roots at a time in
+    numpy's pairwise order (``_sqrt_sum``), so it equals
+    ``np.sqrt(D2).sum()`` bit for bit without a second n x n array. No
+    block takes a broadcast 1-D operand, for which numpy would allocate
+    ufunc buffers.
 
     Raises
     ------
@@ -119,23 +152,25 @@ def kernel_matrix(X, spec):
     n = X.shape[1]
     if n < 2:
         raise ValueError("need at least two points")
-    # every step runs in place, so at most two n x n arrays are live; each
-    # rounds as (x'y + offset)**degree and |x|^2 + |y|^2 - 2 x'y would
+    K = X.T @ X
     if spec.kind == "polynomial":
-        K = X.T @ X
         K += spec.offset
         K **= spec.degree
         return K
+    K *= 2.0
     sq = np.einsum("ij,ij->j", X, X)
-    # the outer sum comes first: its broadcast takes ufunc buffers too
-    K = np.add.outer(sq, sq)
-    G = X.T @ X
-    G *= 2.0
-    K -= G
-    del G  # freed before sqrt(K) below takes its own n x n array
+    sq1 = np.column_stack((sq, np.ones(n)))
+    one_sq = np.vstack((np.ones(n), sq))
+    rows = max(1, _KERNEL_BLOCK // n)
+    block = np.empty((min(rows, n), n))
+    for b in range(0, n, rows):
+        e = min(b + rows, n)
+        np.subtract(np.matmul(sq1[b:e], one_sq, out=block[: e - b]), K[b:e], out=K[b:e])
+    del block
     np.maximum(K, 0.0, out=K)
     K.flat[:: n + 1] = 0.0
-    sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
+    total = _sqrt_sum(K.reshape(-1), np.empty(_KERNEL_BLOCK))
+    sigma = spec.xi * (total / (n * n))
     if sigma <= 0.0:
         raise DegenerateDataError("gaussian bandwidth is zero: all points identical")
     # exp(-D2 / (2 sigma^2)), rounded as that expression is, in place

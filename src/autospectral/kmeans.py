@@ -44,9 +44,10 @@ class Partition:
         return cls(labels=inverse + 1, k=len(values))
 
 
-# Distance entries per assignment block: 32768 float64 (256 KiB) keep a
-# block's rows x k tile in cache.
-_TILE = 32768
+# Distance entries per assignment tile: 8192 float64 (64 KiB) keep a
+# tile's rows x k in cache, and at the landmark shape keep the Lloyd steps'
+# buffers below the k-means++ seeding sample.
+_TILE = 8192
 
 # Rows per distance product in _assign, and the distance products its
 # buffer holds (512 KiB) before blocks shrink; see its docstring.
@@ -62,7 +63,8 @@ def _sq_dists(d, g2):
     """Squared distances max(|p|^2 + |c|^2 - 2 p.c, 0), in place in d.
 
     ``d`` holds |p|^2 + |c|^2 and ``g2`` holds 2 p.c, computed as
-    P @ (2 C).T: doubling a factor is exact, so this is 2 (P @ C.T) bit for bit.
+    P @ C.T and then doubled in place: doubling is exact, so this is
+    P @ (2 C).T bit for bit.
     """
     d -= g2
     return np.maximum(d, 0.0, out=d)
@@ -85,9 +87,11 @@ def _assign(P, pn, centers):
 
     Every p.c comes from a product over a block of rows, written into one
     reused buffer, so no array spans all n rows times k; inside a block the
-    distances run in tiles whose rows x k stay in cache. The block's
-    |p|^2 + |c|^2 is the product [|p|^2, 1] @ [1; |c|^2]: the same single
-    rounding as the sum, at a quarter of the cost of numpy's broadcast add.
+    distances run in tiles whose rows x k stay in cache. A tile's
+    |p|^2 + |c|^2 is the product [|p|^2, 1] @ [1; |c|^2], whose left factor
+    is filled per tile: the same single rounding as the sum, at a quarter
+    of the cost of numpy's broadcast add. The product with C' is doubled
+    in place, so no scaled copy of the centers is made.
 
     On one OpenBLAS thread (Haswell kernel, 12-row groups) the blocks round
     every p.c as the one-pass product ``P @ (2 C).T`` does, so labels and
@@ -109,20 +113,21 @@ def _assign(P, pn, centers):
     rounds the one-pass product differently from one thread.
     """
     n, k = P.shape[0], centers.shape[0]
-    pn1 = np.column_stack((pn, np.ones(n)))
     cn1 = np.vstack((np.ones(k), _sq_norms(centers)))
-    c2t = (2.0 * centers).T
     blocks = _blocks(n, k)
     g2 = np.empty((n - blocks[-1][0], k))
-    rows = max(1, _TILE // k)
-    tile = np.empty((min(rows, n), k))
+    rows = min(max(1, _TILE // k), n)
+    pn1 = np.ones((rows, 2))
+    tile = np.empty((rows, k))
     labels = np.empty(n, dtype=np.intp)
     mind2 = np.empty(n)
     for b, e in blocks:
-        g2b = np.matmul(P[b:e], c2t, out=g2[: e - b])
+        g2b = np.matmul(P[b:e], centers.T, out=g2[: e - b])
+        g2b *= 2.0
         for s in range(b, e, rows):
             t = min(s + rows, e)
-            d2 = np.matmul(pn1[s:t], cn1, out=tile[: t - s])
+            pn1[: t - s, 0] = pn[s:t]
+            d2 = np.matmul(pn1[: t - s], cn1, out=tile[: t - s])
             _sq_dists(d2, g2b[s - b : t - b])
             np.argmin(d2, axis=1, out=labels[s:t])
             mind2[s:t] = d2[np.arange(t - s), labels[s:t]]

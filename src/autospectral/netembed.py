@@ -58,22 +58,20 @@ class NetConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
-def _act(A, kind):
-    if kind == "relu":
-        return np.maximum(A, 0.0)
-    return np.tanh(A)
-
-
-def _act_grad(A, kind):
-    if kind == "relu":
-        return (A > 0.0).astype(np.float64)  # subgradient 0 at the kink
-    t = np.tanh(A)
-    return 1.0 - t * t
+def _hidden(params, X, activation):
+    """act(W1 X + b1 1') as one hidden x columns array: the pre-activation,
+    with the bias added and the activation taken in place."""
+    H = params.w1 @ X
+    H += params.b1[:, None]
+    if activation == "relu":
+        return np.maximum(H, 0.0, out=H)
+    return np.tanh(H, out=H)
 
 
 def _embed(params, X, activation):
-    A = params.w1 @ X + params.b1[:, None]
-    return params.w2 @ _act(A, activation) + params.b2[:, None]
+    Z = params.w2 @ _hidden(params, X, activation)
+    Z += params.b2[:, None]
+    return Z
 
 
 def _loss(params, R, ridge):
@@ -83,7 +81,8 @@ def _loss(params, R, ridge):
     )
 
 
-# about this many entries in each hidden x block array of net_forward
+# about this many entries in the one hidden x block array that each block
+# of net_forward holds: its pre-activation, then in place its activation
 _FORWARD_ENTRIES = 2**16
 
 
@@ -113,13 +112,24 @@ def net_loss_and_grad(params, X, Z, ridge, activation="relu"):
     """
     s = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        A = params.w1 @ X + params.b1[:, None]
-        H = _act(A, activation)
-        R = params.w2 @ H + params.b2[:, None] - Z
+        H = _hidden(params, X, activation)
+        R = params.w2 @ H
+        R += params.b2[:, None]
+        R -= Z
         loss = _loss(params, R, ridge)
         dw2 = (R @ H.T) / s + ridge * params.w2
         db2 = R.sum(axis=1) / s
-        dA = (params.w2.T @ R) * _act_grad(A, activation)
+        # dA = (W2' R) * act'(A), with act'(A) read off H = act(A): ReLU's
+        # subgradient is 1 where H > 0 (0 at the kink), tanh's is 1 - H^2
+        if activation == "relu":
+            mask = H > 0.0
+            dA = np.matmul(params.w2.T, R, out=H)
+            dA *= mask
+        else:
+            H *= H
+            np.subtract(1.0, H, out=H)
+            dA = params.w2.T @ R
+            dA *= H
         dw1 = (dA @ X.T) / s + ridge * params.w1
         db1 = dA.sum(axis=1) / s
     return loss, MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
@@ -163,7 +173,9 @@ def net_train(X, Z, config):
     def full_loss(p):
         # forward only, and not through net_forward, which tracers wrap
         with np.errstate(over="ignore", invalid="ignore"):
-            return _loss(p, _embed(p, X, config.activation) - Z, config.ridge)
+            R = _embed(p, X, config.activation)
+            R -= Z
+            return _loss(p, R, config.ridge)
 
     losses = [full_loss(weights)]
     if not np.isfinite(losses[0]):

@@ -132,16 +132,15 @@ def _objective(score, kind):
 
 
 # Largest point count a search runs on. Each candidate owns its n x n
-# arrays: klsr solves in place in the K built for it, and truncation takes
-# |C|' in place in C. Under tracemalloc at n = 2000, evaluate_candidate and
-# a one-model grid_search peaked at 1.14 n^2 * 8 bytes for lsr, set by
-# truncation's W' and boolean mask of the kept entries, and at 2.0 n^2 for
-# klsr and kernel_direct, set by kernel_matrix: the squared distances and
-# the bandwidth's sqrt of them. At 10 000 points that is about 1.6 GB; the
-# ceiling stays where five arrays (4.0 GB, half of an 8 GB host) put it
-# until a memory test at a higher ceiling backs a change. Larger inputs go
-# through the landmark path. With threads > 1, each model that runs
-# concurrently holds its own such arrays.
+# arrays: kernel_matrix builds K in one array, klsr solves in place in it,
+# and truncation takes |C|' in place in C. Under tracemalloc at n = 2000,
+# evaluate_candidate and a one-model grid_search peaked at 1.14 n^2 * 8
+# bytes for every model, set by truncation's W' and boolean mask of the
+# kept entries. At 10 000 points that is about 0.9 GB; the ceiling stays
+# where five arrays (4.0 GB, half of an 8 GB host) put it until a memory
+# test at a higher ceiling backs a change. Larger inputs go through the
+# landmark path. With threads > 1, each model that runs concurrently holds
+# its own such arrays.
 SEARCH_MAX_N = 10_000
 
 

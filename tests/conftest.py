@@ -1,6 +1,7 @@
 """Shared oracles and graph builders for the test suite."""
 
 import os
+import tracemalloc
 
 # BLAS reads these when numpy loads, and pytest loads this file before it
 # imports any test module: every test runs BLAS on one thread, as the bench
@@ -17,6 +18,19 @@ from autospectral.affinity import AffinityGraph
 from autospectral.errors import DegenerateCandidateError
 from autospectral.linalg import partial_sym_eigs
 from autospectral.spectra import LaplacianSpectrum
+
+
+def traced_peak(run, unit=1.0):
+    """Peak bytes that tracemalloc traces during one call of ``run``, in
+    units of ``unit`` bytes. An untraced call goes first, so one-time
+    allocations (lazy imports, caches) stay out of the figure."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / unit
+    finally:
+        tracemalloc.stop()
 
 
 def graph_from_dense(A):

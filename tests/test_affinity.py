@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import solve_pd, sorted_postprocess, ties_at_threshold
+from conftest import solve_pd, sorted_postprocess, ties_at_threshold, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
@@ -81,6 +81,24 @@ class TestLsr:
             lsr_coefficients(np.eye(3), 0.1)
 
 
+def one_line_kernel_matrix(X, spec):
+    """The kernel as one expression per kind, which holds up to three n x n
+    arrays below numpy's temporary-elision size: the oracle for the
+    in-place build."""
+    n = X.shape[1]
+    if spec.kind == "polynomial":
+        return (X.T @ X + spec.offset) ** spec.degree
+    sq = np.einsum("ij,ij->j", X, X)
+    K = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+    np.maximum(K, 0.0, out=K)
+    K.flat[:: n + 1] = 0.0
+    sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
+    np.negative(K, out=K)
+    K /= 2.0 * sigma**2
+    np.exp(K, out=K)
+    return K
+
+
 class TestKernelMatrix:
     def test_gaussian_identical_points_entry(self):
         X = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, -0.5]]).T  # 2 x 3? keep simple below
@@ -105,6 +123,33 @@ class TestKernelMatrix:
         expected = np.exp(-(D**2) / (2.0 * sigma**2))
         K = kernel_matrix(X, KernelSpec("gaussian", xi=1.7))
         np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 9, 130, 150, 300, 1500])
+    def test_gaussian_matches_whole_array_expression(self, n):
+        # the bandwidth's sum of n^2 distances splits as numpy's pairwise
+        # sum does: n = 2 sums 4 entries in one run, n = 9 in one 8-way
+        # block, and from n = 130 on the split tree has one level or more
+        # above kernel_matrix's blocks
+        X = np.random.default_rng(n).standard_normal((5, n))
+        for xi in (0.5, 1.0, 5.0):
+            spec = KernelSpec("gaussian", xi=xi)
+            assert np.array_equal(kernel_matrix(X, spec), one_line_kernel_matrix(X, spec))
+
+    def test_blocked_sqrt_sum_follows_numpy_order(self):
+        # a 128-entry buffer, the smallest allowed, splits every size above
+        # it down numpy's pairwise tree
+        a = np.random.default_rng(5).random(3000) * 1e3
+        for size in list(range(1, 300)) + [1000, 1031, 2999, 3000]:
+            want = np.sqrt(a[:size]).sum()
+            assert affinity._sqrt_sum(a[:size], np.empty(128)) == want
+            assert affinity._sqrt_sum(a[:size], np.empty(8192)) == want
+
+    def test_gaussian_holds_one_array(self):
+        # the squared distances, the bandwidth's square roots and the
+        # kernel share K; the rest are blocks of 8192 entries (2.0 n^2
+        # while the square roots took an n x n array of their own)
+        X = np.random.default_rng(4).standard_normal((20, 2000))
+        assert traced_peak(lambda: kernel_matrix(X, KernelSpec("gaussian")), unit=8.0 * 2000**2) < 1.2
 
     def test_polynomial_linear_case(self):
         rng = np.random.default_rng(2)
@@ -486,24 +531,6 @@ class TestLocalityBound:
             for j in range(8):
                 dist = math.sqrt(max(2.0 - 2.0 * math.exp(-sq[i, j] / (2 * sigma**2)), 0.0))
                 assert abs(c[i] - c[j]) <= dist * r_norm / lam + 1e-12
-
-
-def one_line_kernel_matrix(X, spec):
-    """The kernel as one expression per kind, which holds up to three n x n
-    arrays below numpy's temporary-elision size: the oracle for the
-    in-place build."""
-    n = X.shape[1]
-    if spec.kind == "polynomial":
-        return (X.T @ X + spec.offset) ** spec.degree
-    sq = np.einsum("ij,ij->j", X, X)
-    K = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-    np.maximum(K, 0.0, out=K)
-    K.flat[:: n + 1] = 0.0
-    sigma = spec.xi * (np.sqrt(K).sum() / (n * n))
-    np.negative(K, out=K)
-    K /= 2.0 * sigma**2
-    np.exp(K, out=K)
-    return K
 
 
 def summed_column_graph(ranking, tau):

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import os
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from autospectral.dataio import (
 from autospectral.affinity import CandidateConfig, KernelSpec
 from autospectral.errors import DataFormatError
 from autospectral.search import CandidateScore, evaluate_candidate
-from conftest import save_csv
+from conftest import save_csv, traced_peak
 
 
 class TestCsv:
@@ -266,14 +265,8 @@ class TestCsvReader:
         X = np.random.default_rng(3).standard_normal((100, 2000))
         p = tmp_path / "big.csv"
         save_csv(p, X)
-        tracemalloc.start()
-        try:
-            Y, _ = load_csv(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(Y, X)
-        assert peak <= 2 * X.nbytes
+        assert traced_peak(lambda: load_csv(p)) <= 2 * X.nbytes
+        assert np.array_equal(load_csv(p)[0], X)
 
 
 def idx_bytes(images, rows, cols):

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import types
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import autospectral
 import autospectral.kmeans as kmeans_module
 from autospectral.kmeans import Partition, kmeans, kmeans_centers, lloyd_iterations
 from autospectral.metrics import clustering_accuracy
+from conftest import traced_peak
 
 
 def two_blobs(rng, per=30, sep=10.0, dim=3, spread=0.5):
@@ -135,27 +135,22 @@ class TestCenters:
         # the landmark workload's shape, C-ordered, so its rows are copied
         # once (2.88 MB); one distance product over all 6000 rows would hold
         # 6000 x 300 entries (14.4 MB), and 480-row blocks hold 1.15 MB
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((60, 6000))
-        tracemalloc.start()
-        try:
-            kmeans_centers(X, 300, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.5e6
+        X = np.random.default_rng(11).standard_normal((60, 6000))
+        assert traced_peak(lambda: kmeans_centers(X, 300, seed=1)) < 5.5e6
+
+    def test_landmark_shape_bound_by_the_seeding_sample(self):
+        # F-ordered, as the loaders return X: the k-means++ sample of 3000
+        # rows (1.44 MB) sets the peak, and the Lloyd steps' block buffer
+        # (1.15 MB) with its tiles stays below it; 2.08 MB measured while
+        # _assign kept doubled centers, an n x 2 norm array and 256 KiB tiles
+        X = np.asfortranarray(np.random.default_rng(13).standard_normal((60, 6000)))
+        assert traced_peak(lambda: kmeans_centers(X, 300, seed=1)) < 1.85e6
 
     def test_reads_f_ordered_x_in_place(self):
         # X dominates this shape: a copy of it alone would be X.nbytes
         X = np.random.default_rng(12).standard_normal((6000, 200)).T
         before = X.copy()
-        tracemalloc.start()
-        try:
-            kmeans_centers(X, 50, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < X.nbytes / 2
+        assert traced_peak(lambda: kmeans_centers(X, 50, seed=1)) < X.nbytes / 2
         assert np.array_equal(X, before)
 
     @pytest.mark.parametrize("n, k", [(400, 6), (40, 5), (60, 6)], ids=["subsample", "all-rows", "10k-equals-n"])
@@ -400,15 +395,11 @@ def test_block_bounds():
 
 def test_assign_buffer_ceiling():
     # the landmark k-means shape: one 480-row buffer of 300 products
-    # (1.15 MB), 256 KiB tiles and a few n-long arrays; a last block that
-    # took the 1200-row remainder would need a 2.88 MB buffer
+    # (1.15 MB), 64 KiB tiles and a few n-long arrays (1.32 MB measured;
+    # 1.76 MB with a doubled copy of the centers, an n x 2 norm array and
+    # 256 KiB tiles); a last block that took the 1200-row remainder would
+    # need a 2.88 MB buffer
     rng = np.random.default_rng(14)
     P, C = rng.standard_normal((6000, 60)), rng.standard_normal((300, 60))
     pn = kmeans_module._sq_norms(P)
-    tracemalloc.start()
-    try:
-        kmeans_module._assign(P, pn, C)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.0e6
+    assert traced_peak(lambda: kmeans_module._assign(P, pn, C)) < 1.4e6

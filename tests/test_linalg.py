@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from conftest import block_affinity, dense_laplacian_eigs, graph_from_dense
+from conftest import block_affinity, dense_laplacian_eigs, graph_from_dense, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,14 +166,8 @@ class TestPartialSymEigs:
         M = (A + A.T).tocsr()
         dense = M.toarray()
         before = dense.copy()
-        partial_sym_eigs(M, count=5)
-        tracemalloc.start()
-        try:
-            vals, vecs = partial_sym_eigs(M, count=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert traced_peak(lambda: partial_sym_eigs(M, count=5), unit=8.0 * n * n) < 1.5
+        vals, vecs = partial_sym_eigs(M, count=5)
         dense_vals, dense_vecs = partial_sym_eigs(dense, count=5)
         assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
         assert np.array_equal(dense, before)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from autospectral.netembed import (
 )
 from autospectral.search import SEARCH_MAX_N, ModelSpec, SearchSpace, default_search_space
 from autospectral.synthetic import random_subspaces
+from conftest import traced_peak
 
 
 def random_params(rng, m, d, k):
@@ -129,17 +129,12 @@ class TestForward:
 
     def test_memory_ceiling(self):
         # the landmark workload's shape; one pass held two 200 x 6000 arrays
-        # and peaked at 19.7 MB, 1280-column blocks at 4.7 MB
+        # and peaked at 19.7 MB, 1280-column blocks at 4.7 MB, and 256-column
+        # blocks with a second hidden x block array at 1.37 MB
         rng = np.random.default_rng(7)
         params = random_params(rng, 60, 200, 10)
         X = rng.standard_normal((60, 6000))
-        tracemalloc.start()
-        try:
-            net_forward(params, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6
+        assert traced_peak(lambda: net_forward(params, X)) < 2e6
 
 
 class TestNetConfig:
@@ -173,6 +168,16 @@ class TestTrain:
         cfg = NetConfig(hidden=16, ridge=0.0, epochs=400, batch_size=20, lr=3e-3, seed=0)
         _, losses = net_train(X, Z, cfg)
         assert losses[-1] <= 0.01 * losses[0]
+
+    def test_memory_ceiling(self):
+        # the landmark workload's shape: 300 landmarks in 60 dimensions and
+        # a 10-dimensional embedding. The epoch's full-batch loss holds one
+        # 200 x 300 hidden array (0.48 MB) and each batch one 200 x 128;
+        # 1.59 MB measured when the pre-activation, the activation and the
+        # backward pass's products each took their own array
+        rng = np.random.default_rng(8)
+        X, Z = rng.standard_normal((60, 300)), rng.standard_normal((10, 300))
+        assert traced_peak(lambda: net_train(X, Z, NetConfig())) < 1.3e6
 
     def test_huge_ridge_shrinks_weights(self):
         # Adam's step floor is ~lr per entry, so reaching the tiny optimum of

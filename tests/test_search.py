@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,7 +42,7 @@ from autospectral.search import (
 )
 from autospectral.spectra import LaplacianSpectrum, laplacian_spectrum, relative_eigen_gap, spectral_embedding
 from autospectral.synthetic import random_subspaces
-from conftest import sorted_postprocess, sparse_laplacian_spectrum, ties_at_threshold
+from conftest import sorted_postprocess, sparse_laplacian_spectrum, ties_at_threshold, traced_peak
 
 
 class TestMatern:
@@ -663,14 +662,7 @@ class TestFitGpHyperparams:
         # (0.30 MB measured; 0.57 MB with 2**15 entries, 0.92 MB when every
         # array held full matrices)
         S, y = random_observations(29, 3, seed=0)
-        fit_gp_hyperparams(S, y)
-        tracemalloc.start()
-        try:
-            fit_gp_hyperparams(S, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.4e6
+        assert traced_peak(lambda: fit_gp_hyperparams(S, y)) < 0.4e6
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bo_trajectory_unchanged(self, monkeypatch, threads):
@@ -837,24 +829,15 @@ class TestScoringMatchesSortedPipeline:
 
 
 # each model's candidate ceiling in n x n float64 arrays at n = 2000: the
-# multiples the SEARCH_MAX_N comment states, 1.14 for lsr and 2.0 for the
-# kernel models, plus a margin
-CANDIDATE_CEILING = {"lsr": 1.5, "klsr": 2.1, "kernel_direct": 2.1}
+# 1.14 the SEARCH_MAX_N comment states for every model, plus a margin
+CANDIDATE_CEILING = {"lsr": 1.5, "klsr": 1.5, "kernel_direct": 1.5}
+# bytes of one n x n float64 array at n = 2000
+ARRAY_2000 = 8.0 * 2000**2
 
 
 class TestMemoryCeiling:
     """Peaks at n = 2000, above the dense cut, in units of one n x n float64
     array, and at the n = 150, tau = 50 of a BO benchmark candidate."""
-
-    @staticmethod
-    def peak_arrays(run, n):
-        run()
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
-        finally:
-            tracemalloc.stop()
 
     @pytest.fixture(scope="class")
     def points(self):
@@ -867,7 +850,7 @@ class TestMemoryCeiling:
     @pytest.mark.parametrize("model", SCORED_MODELS, ids=lambda m: m.name)
     def test_evaluate_candidate(self, points, model):
         config = CandidateConfig(model.name, tau=10, lam=0.1, kernel=model.kernel)
-        peak = self.peak_arrays(lambda: evaluate_candidate(points, 4, config), 2000)
+        peak = traced_peak(lambda: evaluate_candidate(points, 4, config), unit=ARRAY_2000)
         assert peak < CANDIDATE_CEILING[model.name]
 
     @pytest.mark.parametrize("model", SCORED_MODELS, ids=lambda m: m.name)
@@ -877,29 +860,29 @@ class TestMemoryCeiling:
         # copies of C and of its sum's arrays made 4.08
         X, _ = random_subspaces(k=3, ambient_dim=30, intrinsic_dim=4, per_cluster=50, noise_std=0.3, seed=0)
         config = CandidateConfig(model.name, tau=50, lam=0.1, kernel=model.kernel)
-        assert self.peak_arrays(lambda: evaluate_candidate(X, 3, config), 150) < 3.0
+        assert traced_peak(lambda: evaluate_candidate(X, 3, config), unit=8.0 * 150**2) < 3.0
 
     def test_post_process_and_sparse_operator(self, points):
         # truncation holds W and a boolean mask besides C, and partitions
         # W a block of rows at a time; the operator above the cut is sparse
         # and adds no n x n array
         C = build_coefficients(points, CandidateConfig("lsr", tau=10, lam=0.1))
-        assert self.peak_arrays(lambda: postprocess_affinity(C, 10), 2000) < 1.5
+        assert traced_peak(lambda: postprocess_affinity(C, 10), unit=ARRAY_2000) < 1.5
         graphs = iter([postprocess_affinity(C, 10) for _ in range(2)])
-        assert self.peak_arrays(lambda: laplacian_spectrum(next(graphs), 4), 2000) < 0.5
+        assert traced_peak(lambda: laplacian_spectrum(next(graphs), 4), unit=ARRAY_2000) < 0.5
 
     def test_post_process_from_a_ranking(self, points):
         # each level's graph comes from the ranking's kept entries alone:
         # the degrees densify at most 256 rows at a time
         ranking = rank_columns(build_coefficients(points, CandidateConfig("lsr", tau=15, lam=0.1)), 15)
         for tau in range(5, 16):
-            assert self.peak_arrays(lambda: postprocess_affinity(ranking, tau), 2000) < 0.25
+            assert traced_peak(lambda: postprocess_affinity(ranking, tau), unit=ARRAY_2000) < 0.25
 
     @pytest.mark.parametrize("model", SCORED_MODELS, ids=lambda m: m.name)
     def test_one_model_grid_search(self, points, model):
         space = SearchSpace(models=(model,), lambdas=(0.1,), taus=(5, 10))
         run = lambda: grid_search(points, 4, space, threads=1)  # noqa: E731
-        assert self.peak_arrays(run, 2000) < CANDIDATE_CEILING[model.name]
+        assert traced_peak(run, unit=ARRAY_2000) < CANDIDATE_CEILING[model.name]
 
 
 class TestPointCeiling:

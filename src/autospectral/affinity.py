@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .errors import DegenerateCandidateError, DegenerateDataError, NumericalError
-from .linalg import check_finite, randomized_eigh
+from .linalg import _Handed, check_finite, randomized_eigh
 
 MODEL_LSR = "lsr"
 MODEL_KLSR = "klsr"
@@ -232,6 +232,13 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     largest magnitude from ``randomized_eigh``; a Ritz value below -1e-8
     scale raises.
 
+    ``build_coefficients`` hands K over, and so holds one n x n array at a
+    time: klsr solves in place in K, and its low-rank path frees K before
+    the filter forms C. Under tracemalloc at n = 2000, a klsr candidate
+    (``evaluate_candidate``) peaked at 1.03 n^2 float64, exact, and at
+    1.43 n^2 with r = 200, set by ``randomized_eigh``'s n x (r + 10)
+    blocks beside K. Called here, K is copied first: one array more.
+
     Raises
     ------
     NumericalError
@@ -242,8 +249,9 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
 
 
 def _klsr_in_place(Ks, lam, approx_rank, seed):
-    """``klsr_coefficients`` of Ks, overwriting Ks with C: its caller built
-    Ks and holds no other reference to it, as ``build_coefficients`` does."""
+    """``klsr_coefficients`` of Ks, overwriting Ks with C, or releasing Ks
+    before the low-rank path forms C: its caller built Ks and holds no other
+    reference to it, as ``build_coefficients`` does."""
     Ks = np.ascontiguousarray(check_finite(Ks, "K"))
     if Ks.ndim != 2 or Ks.shape[0] != Ks.shape[1]:
         raise ValueError("K must be square")
@@ -263,6 +271,8 @@ def _klsr_in_place(Ks, lam, approx_rank, seed):
             raise NumericalError(f"kernel factorization failed: {exc}") from exc
         if w.min() < -tol:
             raise NumericalError("kernel matrix is indefinite beyond tolerance")
+        # a caller that handed Ks over unnamed frees it here, before C is made
+        del Ks
         return ridge_filter(w, V, lam)
     # Ks is symmetric, so its transpose is the same matrix in Fortran order,
     # which LAPACK factors in place; its "lower" triangle is Ks's upper one
@@ -285,20 +295,13 @@ def _klsr_in_place(Ks, lam, approx_rank, seed):
 
 def build_coefficients(X, config, seed=0):
     """Dispatch to the configured coefficient model. Independent of tau.
-    klsr solves in place in the kernel matrix built for it."""
+    klsr takes the kernel matrix built for it unnamed, and solves in place
+    in it or, on its low-rank path, frees it before C is formed."""
     if config.model == MODEL_LSR:
         return lsr_coefficients(X, config.lam)
-    K = kernel_matrix(X, config.kernel)
     if config.model == MODEL_KERNEL_DIRECT:
-        return K
-    return _klsr_in_place(K, config.lam, config.approx_rank, seed)
-
-
-class _Handed(np.ndarray):
-    """A coefficient matrix handed to truncation, as ``C.view(_Handed)``,
-    by the code that built it and keeps no other reference to it:
-    ``rank_columns`` and ``postprocess_affinity`` overwrite it instead of
-    copying it. Every other array they take stays untouched."""
+        return kernel_matrix(X, config.kernel)
+    return _klsr_in_place(kernel_matrix(X, config.kernel), config.lam, config.approx_rank, seed)
 
 
 class ColumnRanking(NamedTuple):
@@ -339,11 +342,17 @@ def _kept_entries(C, depth):
     DegenerateCandidateError if a column is all zero off the diagonal.
 
     W' = |C|' is taken in a copy of C, freed on return, or in C itself
-    where C is ``_Handed``, by one transposition in place. ``np.partition``
-    copies its input, so it runs on blocks of 64 columns, and only their
-    thresholds are kept. Besides any caller's C, the peak is W' and a
-    boolean n x n mask, 1.14 n^2 float64 at n = 2000. t is an exact order
-    statistic, so the blocks change no bit of it."""
+    where C is ``_Handed``, by one transposition in place. One pass over
+    blocks of 32 rows of W' (columns of W) then partitions each block
+    (``np.partition`` copies its input) for its thresholds, marks the
+    kept entries in a boolean block (the comparison with a broadcast column
+    of thresholds takes a ufunc buffer no larger than the partition's
+    copy), and writes them into arrays sized for the depth entries a
+    column keeps at most. Besides any caller's C, the
+    peak is W', one block's partition and the kept entries: under
+    tracemalloc at n = 2000, 1.026 n^2 float64 at depth 10 and 1.030 at
+    depth 15. t is an exact order statistic, so the blocks change no bit
+    of it."""
     handed = isinstance(C, _Handed)
     C = check_finite(C, "C")
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -352,24 +361,41 @@ def _kept_entries(C, depth):
     # row j of Wt is column j of W
     Wt = _abs_transpose(C if handed else np.array(C, order="C"))
     Wt.flat[:: n + 1] = 0.0
-    if not np.all(np.any(Wt, axis=1)):
-        raise DegenerateCandidateError("a column has no off-diagonal mass")
     d = min(depth, n - 1)  # a column has n - 1 off-diagonal entries
-    # copy each threshold column, or its view keeps the partitioned block
-    t = np.concatenate(
-        [np.partition(Wt[lo : lo + 64], n - d, axis=1)[:, n - d].copy() for lo in range(0, n, 64)]
-    )
+    height = 32  # rows of W' per block
+    values = np.empty(n * d)
+    rows = np.empty(n * d, dtype=np.int32)
+    counts = np.empty(n, dtype=np.intp)
+    keep = np.empty((min(height, n), n), dtype=bool)
     # the smallest positive float as a floor keeps no zero, where t is 0
-    keep = Wt >= np.maximum(t, np.nextafter(0.0, 1.0))[:, None]
-    for j in np.flatnonzero(np.count_nonzero(keep, axis=1) > d):
-        tied = np.flatnonzero(Wt[j] == t[j])
-        keep[j, tied[d - np.count_nonzero(Wt[j] > t[j]) :]] = False
-    # flat indices into W', turned into rows in place: no other index array
-    flat = np.flatnonzero(keep)
-    values = Wt.ravel()[flat]
-    cols = np.repeat(np.arange(n, dtype=np.int32), np.count_nonzero(keep, axis=1))
-    flat %= n
-    return ColumnRanking(n, depth, cols, flat.astype(np.int32), values, None)
+    floor = np.nextafter(0.0, 1.0)
+    nnz = 0
+    for lo in range(0, n, height):
+        block = Wt[lo : lo + height]
+        # copy the threshold column, or its view keeps the partitioned block
+        t = np.partition(block, n - d, axis=1)[:, n - d].copy()
+        mask = keep[: len(block)]
+        np.greater_equal(block, np.maximum(t, floor)[:, None], out=mask)
+        kept = np.count_nonzero(mask, axis=1)
+        # a column keeps none of its entries only if none is positive
+        if not kept.all():
+            raise DegenerateCandidateError("a column has no off-diagonal mass")
+        for i in np.flatnonzero(kept > d):
+            tied = np.flatnonzero(block[i] == t[i])
+            mask[i, tied[d - np.count_nonzero(block[i] > t[i]) :]] = False
+            kept[i] = d
+        counts[lo : lo + len(block)] = kept
+        # flat indices into the block, running down each column of W
+        flat = np.flatnonzero(mask)
+        values[nnz : nnz + len(flat)] = block.ravel()[flat]
+        flat %= n
+        rows[nnz : nnz + len(flat)] = flat
+        nnz += len(flat)
+    # columns with fewer than d positive entries leave the arrays short
+    if nnz < n * d:
+        values, rows = values[:nnz].copy(), rows[:nnz].copy()
+    cols = np.repeat(np.arange(n, dtype=np.int32), counts)
+    return ColumnRanking(n, depth, cols, rows, values, None)
 
 
 def rank_columns(C, depth):
@@ -377,6 +403,7 @@ def rank_columns(C, depth):
     values up to ``depth`` share one partition of C's columns. C is left
     untouched unless it is ``_Handed``."""
     ranking = _kept_entries(C, depth)
+    del C  # frees a handed-over matrix before the ranks are sorted
     # entries run column by column and down each column, so a stable sort
     # by column, then by descending value, ranks ties lowest row first
     order = np.lexsort((-ranking.values, ranking.cols))
@@ -384,9 +411,10 @@ def rank_columns(C, depth):
     return ranking._replace(rank=rank)
 
 
-def _column_graph(ranking, tau):
+def _column_graph(ranking, tau, own=False):
     """A = (W + W')/2 as CSR, where W holds the entries of ``ranking`` that
-    level tau keeps, each column l1-normalized."""
+    level tau keeps, each column l1-normalized: in the ranking's own values
+    where the caller ``own``s the ranking, which is then spent."""
     if tau > ranking.depth:
         raise ValueError(f"a ranking of depth {ranking.depth} cannot truncate to tau = {tau}")
     n, kept = ranking.n, slice(None) if tau == ranking.depth else ranking.rank < tau
@@ -398,12 +426,35 @@ def _column_graph(ranking, tau):
     sums = wt @ np.ones(n)
     if not np.all(np.isfinite(sums)):
         raise DegenerateCandidateError("the kept weights of a column overflow float64 when summed")
-    wt.data = wt.data / sums[cols]
+    if own:
+        wt.data /= sums[cols]
+    else:
+        wt.data = wt.data / sums[cols]
     total = wt + wt.T
     del wt  # W' and W are freed before the halved copy is made
     # the sum's arrays are sized for both operands: halve trimmed copies
     nnz = total.nnz
     return sp.csr_matrix((total.data[:nnz] / 2.0, total.indices[:nnz].copy(), total.indptr), shape=(n, n))
+
+
+def _row_sums(A):
+    """Each row sum of the canonical CSR matrix A, rounded as numpy's sum
+    of the dense row: a dense row sum is pairwise, so where its zeros sit
+    changes its rounding. Rows are densified 64 at a time into one block,
+    whose height changes no sum."""
+    n, height = A.shape[0], 64
+    block = np.empty((min(height, n), n))
+    sums = np.empty(n)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        at = slice(A.indptr[lo], A.indptr[hi])
+        # flat positions in the block, row by row
+        flat = np.repeat(np.arange(0, (hi - lo) * n, n), np.diff(A.indptr[lo : hi + 1]))
+        flat += A.indices[at]
+        block[: hi - lo] = 0.0
+        block.ravel()[flat] = A.data[at]
+        sums[lo:hi] = block[: hi - lo].sum(axis=1)
+    return sums
 
 
 def postprocess_affinity(C, tau):
@@ -428,15 +479,14 @@ def postprocess_affinity(C, tau):
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    if not isinstance(C, ColumnRanking):
+    own = not isinstance(C, ColumnRanking)
+    if own:
         C = _kept_entries(C, tau)
-    A = _column_graph(C, tau)
+    A = _column_graph(C, tau, own)
     # each step frees what the one before it held: rebinding C frees a
     # handed-over matrix, and this a ranking made here
     del C
-    # a dense row sum is pairwise, so where its zeros sit changes its
-    # rounding: sum whole rows of dense blocks
-    degrees = np.concatenate([A[lo : lo + 256].toarray().sum(axis=1) for lo in range(0, A.shape[0], 256)])
+    degrees = _row_sums(A)
     if np.any(degrees <= 0.0):
         raise DegenerateCandidateError("graph has an isolated vertex")
     return AffinityGraph(A, degrees)

@@ -31,6 +31,15 @@ def check_finite(M, name="matrix"):
     return M
 
 
+class _Handed(np.ndarray):
+    """An array handed over, as ``A.view(_Handed)``, by the code that built
+    it and keeps no other reference to it: the callee overwrites it instead
+    of copying it. Truncation (``affinity.rank_columns`` and
+    ``affinity.postprocess_affinity``) takes a handed coefficient matrix,
+    and ``partial_sym_eigs`` a handed dense operator. Every other array they
+    take stays untouched."""
+
+
 def unit_columns(X):
     """X with each column scaled to unit l2 norm; zero columns stay zero."""
     norms = np.linalg.norm(X, axis=0)
@@ -83,7 +92,9 @@ def partial_sym_eigs(M, count, seed=0):
     Parameters
     ----------
     M : (n, n) symmetric ndarray or scipy sparse matrix
-        Only its lower triangle is read on the dense path.
+        Only its lower triangle is read on the dense path. A ``_Handed``
+        Fortran-ordered M of at most ``DENSE_EIGS_MAX_N`` rows is
+        overwritten by LAPACK; any other M is left untouched.
     count : int
         Number of algebraically largest eigenpairs, ``1 <= count <= n``.
     seed : int
@@ -100,6 +111,7 @@ def partial_sym_eigs(M, count, seed=0):
     EigsolverError
         If ARPACK does not converge.
     """
+    handed = isinstance(M, _Handed)
     if sp.issparse(M):
         if not np.all(np.isfinite(M.data)):
             raise ValueError("M contains non-finite entries")
@@ -112,7 +124,7 @@ def partial_sym_eigs(M, count, seed=0):
         raise ValueError(f"count must be in [1, {n}]")
 
     if n <= DENSE_EIGS_MAX_N:
-        values, vectors = _dense_top(M, count)
+        values, vectors = _dense_top(M, count, handed)
     else:
         values, vectors = _componentwise_top(sp.csr_matrix(M), count, seed)
     flip = np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(count)])
@@ -120,18 +132,18 @@ def partial_sym_eigs(M, count, seed=0):
     return values, vectors * flip
 
 
-def _dense_top(M, count):
+def _dense_top(M, count, handed=False):
     """Top ``count`` eigenpairs by LAPACK, values descending.
 
     A sparse M is densified in Fortran order, which LAPACK overwrites in
-    place with no transposing copy; a dense M is the caller's, and LAPACK
-    works on a copy of it.
+    place with no transposing copy, as it does a ``handed`` dense M. Any
+    other dense M is the caller's, and LAPACK works on a copy of it.
     """
     n = M.shape[0]
-    own = sp.issparse(M)
-    A = M.toarray(order="F") if own else M
+    sparse = sp.issparse(M)
+    A = M.toarray(order="F") if sparse else M
     values, vectors = scipy.linalg.eigh(
-        A, subset_by_index=[n - count, n - 1], overwrite_a=own, check_finite=False
+        A, subset_by_index=[n - count, n - 1], overwrite_a=sparse or handed, check_finite=False
     )
     return values[::-1], vectors[:, ::-1]
 

@@ -29,7 +29,6 @@ from .affinity import (
     MODELS,
     CandidateConfig,
     KernelSpec,
-    _Handed,
     build_coefficients,
     default_approx_rank,
     postprocess_affinity,
@@ -37,7 +36,7 @@ from .affinity import (
 )
 from .errors import DegenerateError, NumericalError, SearchFailedError
 from .kmeans import Partition, kmeans
-from .linalg import check_finite
+from .linalg import _Handed, check_finite
 from .spectra import check_eps, laplacian_spectrum, plain_eigen_gap, relative_eigen_gap, spectral_embedding
 
 SCORE_KINDS = ("reg", "eg")
@@ -131,16 +130,19 @@ def _objective(score, kind):
     return plain_eigen_gap(score.spectrum)
 
 
-# Largest point count a search runs on. Each candidate owns its n x n
-# arrays: kernel_matrix builds K in one array, klsr solves in place in it,
-# and truncation takes |C|' in place in C. Under tracemalloc at n = 2000,
-# evaluate_candidate and a one-model grid_search peaked at 1.14 n^2 * 8
-# bytes for every model, set by truncation's W' and boolean mask of the
-# kept entries. At 10 000 points that is about 0.9 GB; the ceiling stays
-# where five arrays (4.0 GB, half of an 8 GB host) put it until a memory
-# test at a higher ceiling backs a change. Larger inputs go through the
-# landmark path. With threads > 1, each model that runs concurrently holds
-# its own such arrays.
+# Largest point count a search runs on. Each candidate holds one n x n
+# array at a time: kernel_matrix builds K in one array, klsr solves in place
+# in it (its low-rank path frees K before the filter forms C), truncation
+# takes |C|' in place in C and marks the kept entries a block of rows at a
+# time. Under tracemalloc at n = 2000, evaluate_candidate and a one-model
+# grid_search peaked at 1.03 n^2 * 8 bytes for lsr, exact klsr and
+# kernel_direct, one n x n array and blocks of at most 32 n entries, and
+# at 1.43 n^2 for low-rank klsr (approx_rank 200), set by randomized_eigh's
+# n x 210 blocks beside K. At 10 000 points one array is 0.8 GB; the
+# ceiling stays where five arrays (4.0 GB, half of an 8 GB host) put it
+# until a memory test at a higher ceiling backs a change. Larger inputs go
+# through the landmark path. With threads > 1, each model that runs
+# concurrently holds its own such arrays.
 SEARCH_MAX_N = 10_000
 
 
@@ -345,10 +347,23 @@ def _matern52(r2, amplitude):
     return r2
 
 
+# query columns per block of _matern_cross's difference tensor
+_CROSS_BLOCK = 64
+
+
 def _matern_cross(A, B, amplitude, lengthscales):
-    diff = A[:, None, :] - B[None, :, :]
-    diff /= np.asarray(lengthscales, dtype=np.float64)
-    return _matern52(np.einsum("ijk,ijk->ij", diff, diff), amplitude)
+    """The Matern-5/2 kernel between the rows of A and those of B. The
+    scaled differences, a len(A) x len(B) x d tensor, are formed for
+    ``_CROSS_BLOCK`` rows of B at a time, and each block's squared
+    distances are summed by its own einsum, which rounds each entry as one
+    einsum over the whole tensor would."""
+    ls = np.asarray(lengthscales, dtype=np.float64)
+    r2 = np.empty((len(A), len(B)))
+    for lo in range(0, len(B), _CROSS_BLOCK):
+        diff = A[:, None, :] - B[None, lo : lo + _CROSS_BLOCK, :]
+        diff /= ls
+        np.einsum("ijk,ijk->ij", diff, diff, out=r2[:, lo : lo + _CROSS_BLOCK])
+    return _matern52(r2, amplitude)
 
 
 class _Posterior:

@@ -433,6 +433,20 @@ class TestTruncationMatchesStableSort:
         for tau in range(1, n + 2):
             assert_matches_sorted(C, tau)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_integer_entries_across_row_blocks(self, seed):
+        # truncation marks the columns of W a block at a time: ties, columns
+        # with fewer nonzeros than tau and, in a later block, a column
+        # without off-diagonal mass come out as in a single block
+        rng = np.random.default_rng(seed)
+        C = rng.integers(-3, 4, (100, 100)) * (rng.random((100, 100)) < 0.1)
+        C = C.astype(np.float64)
+        for tau in (1, 3, 8, 20):
+            assert_matches_sorted(C, tau)
+        C[:, 70] = 0.0
+        C[70, 70] = 1.0
+        assert_matches_sorted(C, 3)
+
     def test_boundary_levels(self):
         rng = np.random.default_rng(12)
         for n in (3, 4, 7, 20):

@@ -57,9 +57,12 @@ class TestMatern:
         ls = rng.random(3) + 0.5
         np.testing.assert_allclose(_matern_cross(A, B, 1.3, ls), _matern_cross(B, A, 1.3, ls).T, rtol=1e-6)
 
-    def test_bit_identical_to_the_expression(self):
+    # query counts below, at and above a block of the difference tensor, and
+    # the 256 Sobol points EI scores
+    @pytest.mark.parametrize("q", [5, search._CROSS_BLOCK, search._CROSS_BLOCK + 1, 3 * search._CROSS_BLOCK + 7, 256])
+    def test_bit_identical_to_the_expression(self, q):
         rng = np.random.default_rng(1)
-        A, B = rng.random((7, 3)), rng.random((5, 3))
+        A, B = rng.random((7, 3)), rng.random((q, 3))
         ls, amp = rng.random(3) + 0.2, 1.7
         diff = (A[:, None, :] - B[None, :, :]) / ls
         r2 = np.einsum("ijk,ijk->ij", diff, diff)
@@ -829,8 +832,9 @@ class TestScoringMatchesSortedPipeline:
 
 
 # each model's candidate ceiling in n x n float64 arrays at n = 2000: the
-# 1.14 the SEARCH_MAX_N comment states for every model, plus a margin
-CANDIDATE_CEILING = {"lsr": 1.5, "klsr": 1.5, "kernel_direct": 1.5}
+# peaks the SEARCH_MAX_N comment states, 1.03 for every exact model and 1.43
+# for klsr's low-rank path (approx_rank 200), plus a margin of 0.07
+CANDIDATE_CEILING = {"lsr": 1.1, "klsr": 1.1, "kernel_direct": 1.1, "klsr low-rank": 1.5}
 # bytes of one n x n float64 array at n = 2000
 ARRAY_2000 = 8.0 * 2000**2
 
@@ -853,27 +857,34 @@ class TestMemoryCeiling:
         peak = traced_peak(lambda: evaluate_candidate(points, 4, config), unit=ARRAY_2000)
         assert peak < CANDIDATE_CEILING[model.name]
 
+    def test_low_rank_klsr_candidate(self, points):
+        # the path klsr takes above 5000 points: K is freed before the
+        # ridge filter forms C from the Ritz pairs
+        config = CandidateConfig("klsr", tau=10, lam=0.1, kernel=KernelSpec("gaussian"), approx_rank=200)
+        peak = traced_peak(lambda: evaluate_candidate(points, 4, config), unit=ARRAY_2000)
+        assert peak < CANDIDATE_CEILING["klsr low-rank"]
+
     @pytest.mark.parametrize("model", SCORED_MODELS, ids=lambda m: m.name)
     def test_bo_shaped_candidate(self, model):
         # at n = 150 the sparse graph of tau = 50 and numpy's 64 KiB ufunc
-        # buffers weigh about as much as C: 2.55 arrays measured, where the
+        # buffers weigh about as much as C: 2.24 arrays measured, where the
         # copies of C and of its sum's arrays made 4.08
         X, _ = random_subspaces(k=3, ambient_dim=30, intrinsic_dim=4, per_cluster=50, noise_std=0.3, seed=0)
         config = CandidateConfig(model.name, tau=50, lam=0.1, kernel=model.kernel)
         assert traced_peak(lambda: evaluate_candidate(X, 3, config), unit=8.0 * 150**2) < 3.0
 
     def test_post_process_and_sparse_operator(self, points):
-        # truncation holds W and a boolean mask besides C, and partitions
-        # W a block of rows at a time; the operator above the cut is sparse
-        # and adds no n x n array
+        # truncation holds W besides C, and partitions and marks W a block
+        # of rows at a time; the operator above the cut is sparse and adds
+        # no n x n array
         C = build_coefficients(points, CandidateConfig("lsr", tau=10, lam=0.1))
-        assert traced_peak(lambda: postprocess_affinity(C, 10), unit=ARRAY_2000) < 1.5
+        assert traced_peak(lambda: postprocess_affinity(C, 10), unit=ARRAY_2000) < 1.1
         graphs = iter([postprocess_affinity(C, 10) for _ in range(2)])
         assert traced_peak(lambda: laplacian_spectrum(next(graphs), 4), unit=ARRAY_2000) < 0.5
 
     def test_post_process_from_a_ranking(self, points):
         # each level's graph comes from the ranking's kept entries alone:
-        # the degrees densify at most 256 rows at a time
+        # the degrees densify at most 64 rows at a time
         ranking = rank_columns(build_coefficients(points, CandidateConfig("lsr", tau=15, lam=0.1)), 15)
         for tau in range(5, 16):
             assert traced_peak(lambda: postprocess_affinity(ranking, tau), unit=ARRAY_2000) < 0.25

@@ -18,6 +18,18 @@ from autospectral.synthetic import random_subspaces
 
 
 class TestLaplacianSpectrum:
+    def test_caller_graph_left_untouched(self):
+        # the dense operator is a new array, scaled and overwritten in place;
+        # the caller's CSR and degrees stay as they were
+        A = random_affinity(np.random.default_rng(5), 40)
+        g = graph_from_dense(A)
+        before = (g.a.data.copy(), g.a.indices.copy(), g.a.indptr.copy(), g.degrees.copy())
+        first = laplacian_spectrum(g, k=3, seed=0)
+        after = (g.a.data, g.a.indices, g.a.indptr, g.degrees)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        again = laplacian_spectrum(g, k=3, seed=0)
+        assert np.array_equal(first.sigmas, again.sigmas) and np.array_equal(first.vectors, again.vectors)
+
     def test_single_edge(self):
         g = graph_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         s = laplacian_spectrum(g, k=1, seed=0)

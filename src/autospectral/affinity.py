@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .errors import DegenerateCandidateError, DegenerateDataError, NumericalError
-from .linalg import _Handed, check_finite, randomized_eigh
+from .linalg import check_finite, randomized_eigh
 
 MODEL_LSR = "lsr"
 MODEL_KLSR = "klsr"
@@ -33,6 +33,15 @@ LAMBDA_MODELS = (MODEL_LSR, MODEL_KLSR)
 KERNEL_MODELS = (MODEL_KLSR, MODEL_KERNEL_DIRECT)
 
 KERNEL_KINDS = ("gaussian", "polynomial")
+
+
+class _Handed(np.ndarray):
+    """An array handed over, as ``A.view(_Handed)``, by the code that built
+    it and keeps no other reference to it: the callee overwrites it instead
+    of copying it. Truncation (``rank_columns`` and
+    ``postprocess_affinity``) takes a handed coefficient matrix, and
+    ``klsr_coefficients`` a handed kernel matrix. Every other array they
+    take stays untouched."""
 
 
 @dataclass(frozen=True)
@@ -225,19 +234,19 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     K must be symmetric, as ``kernel_matrix`` makes it exactly; it is not
     symmetrized here. C = I - lam (K + lam I)^-1 comes from one Cholesky
     factorization and inverse of K + lam I, computed in place in a
-    C-ordered copy Ks of K; K itself is never written. A first
-    factorization of Ks + 1e-8 scale I, in the triangle the second one
-    leaves alone, checks that no eigenvalue of K lies below -1e-8 scale.
-    With ``approx_rank`` r, ``ridge_filter`` runs on the r Ritz pairs of
-    largest magnitude from ``randomized_eigh``; a Ritz value below -1e-8
-    scale raises.
+    C-ordered copy of K, or in K itself where K is ``_Handed``; any other
+    K is never written. A first factorization of K + 1e-8 scale I, in the
+    triangle the second one leaves alone, checks that no eigenvalue of K
+    lies below -1e-8 scale. With ``approx_rank`` r, ``ridge_filter`` runs
+    on the r Ritz pairs of largest magnitude from ``randomized_eigh``; a
+    Ritz value below -1e-8 scale raises.
 
     ``build_coefficients`` hands K over, and so holds one n x n array at a
     time: klsr solves in place in K, and its low-rank path frees K before
     the filter forms C. Under tracemalloc at n = 2000, a klsr candidate
     (``evaluate_candidate``) peaked at 1.03 n^2 float64, exact, and at
     1.43 n^2 with r = 200, set by ``randomized_eigh``'s n x (r + 10)
-    blocks beside K. Called here, K is copied first: one array more.
+    blocks beside K. A K that is not handed is copied first: one array more.
 
     Raises
     ------
@@ -245,63 +254,61 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
         If K is indefinite beyond a 1e-8 tolerance (relative to its scale),
         or a factorization fails.
     """
-    return _klsr_in_place(np.array(K, dtype=np.float64, order="C"), lam, approx_rank, seed)
-
-
-def _klsr_in_place(Ks, lam, approx_rank, seed):
-    """``klsr_coefficients`` of Ks, overwriting Ks with C, or releasing Ks
-    before the low-rank path forms C: its caller built Ks and holds no other
-    reference to it, as ``build_coefficients`` does."""
-    Ks = np.ascontiguousarray(check_finite(Ks, "K"))
-    if Ks.ndim != 2 or Ks.shape[0] != Ks.shape[1]:
+    if not isinstance(K, _Handed):
+        K = np.array(K, dtype=np.float64, order="C")
+    K = np.ascontiguousarray(check_finite(K, "K"))
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K must be square")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    n = Ks.shape[0]
-    tol = 1e-8 * max(Ks.max(), -Ks.min(), 1.0)
+    n = K.shape[0]
+    tol = 1e-8 * max(K.max(), -K.min(), 1.0)
     # the low-rank path sees no eigenvalue outside its top r pairs; a
     # negative diagonal entry still exposes those
-    diagonal = Ks.diagonal().copy()
+    diagonal = K.diagonal().copy()
     if diagonal.min() < -tol:
         raise NumericalError("kernel matrix is indefinite (negative diagonal)")
     if approx_rank is not None:
         try:
-            w, V = randomized_eigh(Ks, min(approx_rank, n), seed=seed)
+            w, V = randomized_eigh(K, min(approx_rank, n), seed=seed)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"kernel factorization failed: {exc}") from exc
         if w.min() < -tol:
             raise NumericalError("kernel matrix is indefinite beyond tolerance")
-        # a caller that handed Ks over unnamed frees it here, before C is made
-        del Ks
+        # a caller that handed K over unnamed frees it here, before C is made
+        del K
         return ridge_filter(w, V, lam)
-    # Ks is symmetric, so its transpose is the same matrix in Fortran order,
-    # which LAPACK factors in place; its "lower" triangle is Ks's upper one
-    F = Ks.T
-    Ks.flat[:: n + 1] += tol
+    # K is symmetric, so its transpose is the same matrix in Fortran order,
+    # which LAPACK factors in place; its "lower" triangle is K's upper one
+    F = K.T
+    K.flat[:: n + 1] += tol
     if lapack.dpotrf(F, lower=1, clean=0, overwrite_a=1)[1] != 0:
         raise NumericalError("kernel matrix is indefinite beyond tolerance")
-    Ks.flat[:: n + 1] = diagonal + lam
+    K.flat[:: n + 1] = diagonal + lam
     _, info = lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
     if info == 0:
         _, info = lapack.dpotri(F, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"kernel factorization failed (LAPACK info {info})")
-    # the inverse fills Ks's lower triangle
-    _mirror_lower(Ks)
-    Ks *= -lam
-    Ks.flat[:: n + 1] += 1.0
-    return Ks
+    # the inverse fills K's lower triangle
+    _mirror_lower(K)
+    K *= -lam
+    K.flat[:: n + 1] += 1.0
+    return K
 
 
 def build_coefficients(X, config, seed=0):
     """Dispatch to the configured coefficient model. Independent of tau.
-    klsr takes the kernel matrix built for it unnamed, and solves in place
-    in it or, on its low-rank path, frees it before C is formed."""
+    klsr takes the kernel matrix built for it handed over unnamed, as the
+    search hands C to truncation, and solves in place in it or, on its
+    low-rank path, frees it before C is formed."""
     if config.model == MODEL_LSR:
         return lsr_coefficients(X, config.lam)
     if config.model == MODEL_KERNEL_DIRECT:
         return kernel_matrix(X, config.kernel)
-    return _klsr_in_place(kernel_matrix(X, config.kernel), config.lam, config.approx_rank, seed)
+    return klsr_coefficients(
+        kernel_matrix(X, config.kernel).view(_Handed), config.lam, config.approx_rank, seed
+    )
 
 
 class ColumnRanking(NamedTuple):

@@ -154,17 +154,19 @@ def _read_be_header(buf, path, n_fields):
 def load_idx(images_path, labels_path):
     """Big-endian IDX image/label pair -> (pixels/255 as m x n matrix, labels).
 
-    Each image is flattened into one column (m = rows * cols).
+    Each image is flattened into one column (m = rows * cols). The pixels
+    are read from the file's bytes without a copy, and the one float64
+    array is divided in place: the peak is X plus the file.
     """
     img_buf = Path(images_path).read_bytes()
     magic, count, rows, cols = _read_be_header(img_buf, images_path, 4)
     if magic != IDX_IMAGES_MAGIC:
         raise DataFormatError(f"bad magic 0x{magic:08x} in {images_path} (want 0x{IDX_IMAGES_MAGIC:08x})")
-    payload = img_buf[16:]
-    if len(payload) < count * rows * cols:
+    if len(img_buf) - 16 < count * rows * cols:
         raise DataFormatError(f"truncated image payload in {images_path}")
-    pixels = np.frombuffer(payload[: count * rows * cols], dtype=np.uint8)
-    X = pixels.reshape(count, rows * cols).astype(np.float64).T / 255.0
+    pixels = np.frombuffer(img_buf, dtype=np.uint8, count=count * rows * cols, offset=16)
+    X = pixels.reshape(count, rows * cols).astype(np.float64).T
+    X /= 255.0
 
     lab_buf = Path(labels_path).read_bytes()
     magic, lab_count = _read_be_header(lab_buf, labels_path, 2)
@@ -174,7 +176,7 @@ def load_idx(images_path, labels_path):
         raise DataFormatError(f"label count {lab_count} does not match image count {count}")
     if len(lab_buf) - 8 < lab_count:
         raise DataFormatError(f"truncated label payload in {labels_path}")
-    labels = np.frombuffer(lab_buf[8 : 8 + lab_count], dtype=np.uint8).astype(np.int64)
+    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=lab_count, offset=8).astype(np.int64)
     return X, labels
 
 

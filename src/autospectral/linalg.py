@@ -2,11 +2,13 @@
 
 Two workhorses live here: a randomized partial eigensolver for dense
 symmetric matrices (subspace iteration plus Rayleigh-Ritz, Ritz pairs kept
-by magnitude) and a partial symmetric eigensolver (LAPACK for small
-operators; ARPACK per connected component for large sparse ones, so repeated
-eigenvalues of graph operators keep their multiplicities).
+by magnitude) and a partial symmetric eigensolver, the one place that picks
+LAPACK or ARPACK by the operator's order: LAPACK up to ``DENSE_EIGS_MAX_N``
+rows, working in place in a Fortran-ordered array densified from a sparse
+operator, and ARPACK per connected component above, so repeated eigenvalues
+of graph operators keep their multiplicities.
 
-All routines work in float64, are pure functions of their inputs, and are
+All routines work in float64, never write their inputs, and are
 deterministic given their seed.
 """
 
@@ -29,15 +31,6 @@ def check_finite(M, name="matrix"):
     if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return M
-
-
-class _Handed(np.ndarray):
-    """An array handed over, as ``A.view(_Handed)``, by the code that built
-    it and keeps no other reference to it: the callee overwrites it instead
-    of copying it. Truncation (``affinity.rank_columns`` and
-    ``affinity.postprocess_affinity``) takes a handed coefficient matrix,
-    and ``partial_sym_eigs`` a handed dense operator. Every other array they
-    take stays untouched."""
 
 
 def unit_columns(X):
@@ -92,9 +85,8 @@ def partial_sym_eigs(M, count, seed=0):
     Parameters
     ----------
     M : (n, n) symmetric ndarray or scipy sparse matrix
-        Only its lower triangle is read on the dense path. A ``_Handed``
-        Fortran-ordered M of at most ``DENSE_EIGS_MAX_N`` rows is
-        overwritten by LAPACK; any other M is left untouched.
+        Only its lower triangle is read on the dense path. M is never
+        written.
     count : int
         Number of algebraically largest eigenpairs, ``1 <= count <= n``.
     seed : int
@@ -111,7 +103,6 @@ def partial_sym_eigs(M, count, seed=0):
     EigsolverError
         If ARPACK does not converge.
     """
-    handed = isinstance(M, _Handed)
     if sp.issparse(M):
         if not np.all(np.isfinite(M.data)):
             raise ValueError("M contains non-finite entries")
@@ -124,7 +115,7 @@ def partial_sym_eigs(M, count, seed=0):
         raise ValueError(f"count must be in [1, {n}]")
 
     if n <= DENSE_EIGS_MAX_N:
-        values, vectors = _dense_top(M, count, handed)
+        values, vectors = _dense_top(M, count)
     else:
         values, vectors = _componentwise_top(sp.csr_matrix(M), count, seed)
     flip = np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(count)])
@@ -132,18 +123,18 @@ def partial_sym_eigs(M, count, seed=0):
     return values, vectors * flip
 
 
-def _dense_top(M, count, handed=False):
+def _dense_top(M, count):
     """Top ``count`` eigenpairs by LAPACK, values descending.
 
     A sparse M is densified in Fortran order, which LAPACK overwrites in
-    place with no transposing copy, as it does a ``handed`` dense M. Any
-    other dense M is the caller's, and LAPACK works on a copy of it.
+    place with no transposing copy. A dense M is the caller's, and LAPACK
+    works on a copy of it.
     """
     n = M.shape[0]
     sparse = sp.issparse(M)
     A = M.toarray(order="F") if sparse else M
     values, vectors = scipy.linalg.eigh(
-        A, subset_by_index=[n - count, n - 1], overwrite_a=sparse or handed, check_finite=False
+        A, subset_by_index=[n - count, n - 1], overwrite_a=sparse, check_finite=False
     )
     return values[::-1], vectors[:, ::-1]
 

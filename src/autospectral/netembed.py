@@ -18,7 +18,7 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .kmeans import kmeans, kmeans_centers
 from .linalg import check_finite, unit_columns
-from .search import SEARCH_MAX_N, bo_search, check_search_options, grid_search
+from .search import bo_search, check_point_count, check_search_options, grid_search
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -230,9 +230,10 @@ def landmark_cluster(
     batches of at most ``n_landmarks`` columns, and is applied to all of X;
     k-means on the result gives the final partition.
 
-    ``n_landmarks`` must be in [k + 1, n) and at most ``SEARCH_MAX_N``. It,
-    ``mode``, ``score``, ``eps`` and, in BO mode, ``budget_per_model`` are
-    checked before the landmark k-means runs, by the search's own checks.
+    ``n_landmarks`` must be in [k + 1, n) and at most
+    ``search.SEARCH_MAX_N``. It, ``mode``, ``score``, ``eps`` and, in BO
+    mode, ``budget_per_model`` are checked before the landmark k-means runs,
+    by the search's own checks.
 
     Returns
     -------
@@ -242,11 +243,7 @@ def landmark_cluster(
     n = X.shape[1]
     if not (k + 1 <= n_landmarks < n):
         raise ValueError(f"need k + 1 <= n_landmarks < n (got {n_landmarks}, n={n})")
-    if n_landmarks > SEARCH_MAX_N:
-        raise ValueError(
-            f"a search holds dense n x n arrays and takes at most {SEARCH_MAX_N} points "
-            f"(got n_landmarks={n_landmarks})"
-        )
+    check_point_count(n_landmarks)
     if mode not in ("grid", "bo"):
         raise ValueError("mode must be 'grid' or 'bo'")
     check_search_options(score, eps, budget_per_model if mode == "bo" else None)

@@ -29,6 +29,7 @@ from .affinity import (
     MODELS,
     CandidateConfig,
     KernelSpec,
+    _Handed,
     build_coefficients,
     default_approx_rank,
     postprocess_affinity,
@@ -36,7 +37,7 @@ from .affinity import (
 )
 from .errors import DegenerateError, NumericalError, SearchFailedError
 from .kmeans import Partition, kmeans
-from .linalg import _Handed, check_finite
+from .linalg import check_finite
 from .spectra import check_eps, laplacian_spectrum, plain_eigen_gap, relative_eigen_gap, spectral_embedding
 
 SCORE_KINDS = ("reg", "eg")
@@ -146,6 +147,15 @@ def _objective(score, kind):
 SEARCH_MAX_N = 10_000
 
 
+def check_point_count(n):
+    """Reject a search on more than ``SEARCH_MAX_N`` points."""
+    if n > SEARCH_MAX_N:
+        raise ValueError(
+            f"a search holds dense n x n arrays and takes at most {SEARCH_MAX_N} points "
+            f"(got n={n}); search fewer points with --landmarks"
+        )
+
+
 def _checked_points(X, k):
     """X as finite float64, once its point count n is checked: k + 1 <= n
     <= SEARCH_MAX_N."""
@@ -153,11 +163,7 @@ def _checked_points(X, k):
     n = X.shape[1]
     if k + 1 > n:
         raise ValueError(f"need k + 1 <= n (k={k}, n={n})")
-    if n > SEARCH_MAX_N:
-        raise ValueError(
-            f"a search holds dense n x n arrays and takes at most {SEARCH_MAX_N} points "
-            f"(got n={n}); search fewer points with --landmarks"
-        )
+    check_point_count(n)
     return X
 
 

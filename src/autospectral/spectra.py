@@ -3,8 +3,8 @@
 The Laplacian L = I - D^{-1/2} A D^{-1/2} is never formed: the k+1 smallest
 eigenvalues of L are 1 minus the k+1 largest eigenvalues of the normalized
 affinity, which the partial eigensolver extracts directly from that
-operator: dense up to ``linalg.DENSE_EIGS_MAX_N`` rows, sparse above
-(``linalg.partial_sym_eigs`` picks LAPACK or ARPACK).
+operator. The operator is always a scaled CSR copy of the graph's;
+``linalg.partial_sym_eigs`` alone picks LAPACK or ARPACK for it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
 from .errors import DegenerateCandidateError
-from .linalg import _Handed, partial_sym_eigs
+from .linalg import partial_sym_eigs
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,10 @@ def laplacian_spectrum(graph, k, seed=0):
     same eigenvectors, each entry rounded as (d_i a_ij) d_j, as two diagonal
     products round it. Eigenvalues are clamped to [0, 2] against rounding.
 
-    Up to ``linalg.DENSE_EIGS_MAX_N`` rows LAPACK solves the operator
-    densely: the graph is densified and released (a caller that handed it
-    over unnamed, as the search does, frees its CSR here), and the dense
-    array is scaled in place and handed to LAPACK to overwrite. Above that
-    the operator is a CSR copy of the graph's with scaled data.
+    For every n the operator is a CSR matrix that shares the graph's index
+    arrays and holds scaled data; ``linalg.partial_sym_eigs`` picks the
+    solver by its order. The graph is released before the solve: a caller
+    that passes it unnamed, as the search does, frees its data here.
     """
     n = graph.n
     if k < 1 or k + 1 > n:
@@ -54,17 +52,11 @@ def laplacian_spectrum(graph, k, seed=0):
     if np.any(graph.degrees <= 0):
         raise ValueError("graph has a zero-degree vertex")
     dinv_sqrt = 1.0 / np.sqrt(graph.degrees)
-    if n <= linalg.DENSE_EIGS_MAX_N:
-        M = graph.a.toarray(order="F")
-        del graph
-        M *= dinv_sqrt[:, None]
-        M *= dinv_sqrt
-        M = M.view(_Handed)
-    else:
-        a = graph.a
-        data = np.repeat(dinv_sqrt, np.diff(a.indptr)) * a.data
-        data *= dinv_sqrt[a.indices]
-        M = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+    a = graph.a
+    data = np.repeat(dinv_sqrt, np.diff(a.indptr)) * a.data
+    data *= dinv_sqrt[a.indices]
+    M = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+    del graph, a
     rho, vecs = partial_sym_eigs(M, count=k + 1, seed=seed)
     sigmas = np.clip(1.0 - rho, 0.0, 2.0)
     # a copy, not a view that would keep all k+1 vectors alive

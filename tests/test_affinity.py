@@ -644,10 +644,11 @@ class TestOwningPaths:
                 want = klsr_coefficients(K, lam, approx_rank=approx_rank, seed=3)
                 assert np.array_equal(K, before)
                 Ks = K.copy()
-                got = affinity._klsr_in_place(Ks, lam, approx_rank, 3)
+                got = klsr_coefficients(Ks.view(affinity._Handed), lam, approx_rank=approx_rank, seed=3)
                 assert np.array_equal(got, want)
                 if approx_rank is None:
-                    assert got is Ks
+                    # solved in the handed matrix
+                    assert np.shares_memory(got, Ks)
             config = CandidateConfig("klsr", tau=1, lam=0.1, kernel=spec, approx_rank=approx_rank)
             want = klsr_coefficients(K, 0.1, approx_rank=approx_rank, seed=0)
             assert np.array_equal(build_coefficients(X, config), want)

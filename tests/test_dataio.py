@@ -353,6 +353,22 @@ class TestIdx:
         with pytest.raises(DataFormatError):
             load_idx(tmp_path / "im.idx", tmp_path / "lab.idx")
 
+    def test_one_float64_array(self, tmp_path):
+        # the pixels are read from the file's bytes and divided in place:
+        # 1.13 X measured for 5000 28 x 28 images, where slicing the bytes
+        # twice and dividing a copy made 2.25
+        count, m = 5000, 28 * 28
+        pixels = np.random.default_rng(3).integers(0, 256, size=(count, m), dtype=np.uint8)
+        header = struct.pack(">IIII", IDX_IMAGES_MAGIC, count, 28, 28)
+        (tmp_path / "im.idx").write_bytes(header + pixels.tobytes())
+        (tmp_path / "lab.idx").write_bytes(idx_label_bytes(list(range(10)) * (count // 10)))
+        run = lambda: load_idx(tmp_path / "im.idx", tmp_path / "lab.idx")  # noqa: E731
+        assert traced_peak(run, unit=8.0 * count * m) < 1.3
+        X, labels = run()
+        want = pixels.astype(np.float64).T / 255.0
+        assert X.flags.f_contiguous and np.array_equal(X, want)
+        assert np.array_equal(labels, list(range(10)) * (count // 10))
+
     def test_published_test_set_if_present(self):
         base = Path(os.environ.get("MNIST_DIR", "data/mnist"))
         im = base / "t10k-images-idx3-ubyte"

@@ -172,19 +172,6 @@ class TestPartialSymEigs:
         assert np.array_equal(vals, dense_vals) and np.array_equal(vecs, dense_vecs)
         assert np.array_equal(dense, before)
 
-    def test_handed_dense_operator_overwritten_in_place(self):
-        # a handed Fortran-ordered operator is LAPACK's to overwrite, so
-        # the call adds no n x n array (a caller's operator is copied: 1.0
-        # more); results match the caller's operator bit for bit
-        n = linalg.DENSE_EIGS_MAX_N
-        A = sp.random(n, n, density=0.05, random_state=np.random.RandomState(7))
-        dense = (A + A.T).toarray(order="F")
-        handed = iter([dense.copy(order="F").view(linalg._Handed) for _ in range(3)])
-        assert traced_peak(lambda: partial_sym_eigs(next(handed), count=5), unit=8.0 * n * n) < 0.5
-        vals, vecs = partial_sym_eigs(dense, count=5)
-        handed_vals, handed_vecs = partial_sym_eigs(next(handed), count=5)
-        assert np.array_equal(vals, handed_vals) and np.array_equal(vecs, handed_vecs)
-
     @given(n=st.integers(3, 12), count=st.integers(1, 3), seed=st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
     def test_matches_oracle_property(self, n, count, seed):

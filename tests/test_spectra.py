@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from conftest import block_affinity, dense_laplacian_eigs, graph_from_dense, random_affinity
+from conftest import block_affinity, dense_laplacian_eigs, graph_from_dense, random_affinity, traced_peak
+from autospectral import linalg
 from autospectral.affinity import CandidateConfig, build_coefficients, postprocess_affinity
 from autospectral.errors import DegenerateCandidateError
 from autospectral.kmeans import Partition
@@ -19,7 +20,7 @@ from autospectral.synthetic import random_subspaces
 
 class TestLaplacianSpectrum:
     def test_caller_graph_left_untouched(self):
-        # the dense operator is a new array, scaled and overwritten in place;
+        # the operator holds new scaled data beside the graph's index arrays;
         # the caller's CSR and degrees stay as they were
         A = random_affinity(np.random.default_rng(5), 40)
         g = graph_from_dense(A)
@@ -29,6 +30,19 @@ class TestLaplacianSpectrum:
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
         again = laplacian_spectrum(g, k=3, seed=0)
         assert np.array_equal(first.sigmas, again.sigmas) and np.array_equal(first.vectors, again.vectors)
+
+    def test_handed_graph_at_the_dense_cut(self):
+        # at the largest n that LAPACK solves, the scaled CSR operator lives
+        # beside the array densified from it: 1.21 n x n float64 arrays
+        # measured at tau = 15, where the graph is handed over unnamed
+        n = linalg.DENSE_EIGS_MAX_N
+        X, _ = random_subspaces(k=3, ambient_dim=30, intrinsic_dim=4, per_cluster=n // 3, noise_std=0.3, seed=0)
+        C = build_coefficients(X, CandidateConfig("lsr", tau=15, lam=0.1))
+        graphs = iter([postprocess_affinity(C, 15) for _ in range(3)])
+        assert traced_peak(lambda: laplacian_spectrum(next(graphs), 3), unit=8.0 * n * n) < 1.3
+        kept = postprocess_affinity(C, 15)
+        handed = laplacian_spectrum(next(graphs), 3)
+        assert np.array_equal(handed.sigmas, laplacian_spectrum(kept, 3).sigmas)
 
     def test_single_edge(self):
         g = graph_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))

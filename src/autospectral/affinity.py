@@ -4,12 +4,13 @@ A candidate affinity is built in two stages: a dense coefficient matrix C
 from the data (ridge self-expression, its kernel variant, or a direct kernel
 similarity), then a sparsifying post-process (abs + zero diagonal, per-column
 truncation to the tau largest entries, column l1 normalization, and
-symmetrization) that yields the graph handed to the spectral stage. The
+symmetrization) that yields the graph passed to the spectral stage. The
 graph is only ever sparse: one partition per C finds each column's kept
-entries at the deepest tau, and each tau builds its CSR from those. lsr
-gets C from a spectral filter of its Gram matrix (``ridge_filter``) fed by
-a thin SVD of X. klsr solves with one Cholesky factorization of K + lam I,
-and uses the same filter only on its low-rank path.
+entries at the deepest tau, reading C a block of columns at a time and
+never writing it, and each tau builds its CSR from those. lsr gets C from
+a spectral filter of its Gram matrix (``ridge_filter``) fed by a thin SVD
+of X. klsr solves with one Cholesky factorization of K + lam I, in place
+in the K built for it, and uses the same filter only on its low-rank path.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ LAMBDA_MODELS = (MODEL_LSR, MODEL_KLSR)
 KERNEL_MODELS = (MODEL_KLSR, MODEL_KERNEL_DIRECT)
 
 KERNEL_KINDS = ("gaussian", "polynomial")
-
-
-class _Handed(np.ndarray):
-    """An array handed over, as ``A.view(_Handed)``, by the code that built
-    it and keeps no other reference to it: the callee overwrites it instead
-    of copying it. Truncation (``rank_columns`` and
-    ``postprocess_affinity``) takes a handed coefficient matrix, and
-    ``klsr_coefficients`` a handed kernel matrix. Every other array they
-    take stays untouched."""
 
 
 @dataclass(frozen=True)
@@ -234,19 +226,12 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
     K must be symmetric, as ``kernel_matrix`` makes it exactly; it is not
     symmetrized here. C = I - lam (K + lam I)^-1 comes from one Cholesky
     factorization and inverse of K + lam I, computed in place in a
-    C-ordered copy of K, or in K itself where K is ``_Handed``; any other
-    K is never written. A first factorization of K + 1e-8 scale I, in the
-    triangle the second one leaves alone, checks that no eigenvalue of K
-    lies below -1e-8 scale. With ``approx_rank`` r, ``ridge_filter`` runs
-    on the r Ritz pairs of largest magnitude from ``randomized_eigh``; a
-    Ritz value below -1e-8 scale raises.
-
-    ``build_coefficients`` hands K over, and so holds one n x n array at a
-    time: klsr solves in place in K, and its low-rank path frees K before
-    the filter forms C. Under tracemalloc at n = 2000, a klsr candidate
-    (``evaluate_candidate``) peaked at 1.03 n^2 float64, exact, and at
-    1.43 n^2 with r = 200, set by ``randomized_eigh``'s n x (r + 10)
-    blocks beside K. A K that is not handed is copied first: one array more.
+    C-ordered float64 copy of K; K itself is never written. A first
+    factorization of K + 1e-8 scale I, in the triangle the second one
+    leaves alone, checks that no eigenvalue of K lies below -1e-8 scale.
+    With ``approx_rank`` r, ``ridge_filter`` runs on the r Ritz pairs of
+    largest magnitude from ``randomized_eigh``; a Ritz value below -1e-8
+    scale raises.
 
     Raises
     ------
@@ -254,8 +239,20 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
         If K is indefinite beyond a 1e-8 tolerance (relative to its scale),
         or a factorization fails.
     """
-    if not isinstance(K, _Handed):
-        K = np.array(K, dtype=np.float64, order="C")
+    return _klsr_in_place(np.array(K, dtype=np.float64, order="C"), lam, approx_rank, seed)
+
+
+def _klsr_in_place(K, lam, approx_rank, seed):
+    """``klsr_coefficients`` solved in K, a C-ordered float64 array that the
+    caller passes unnamed and never reads again: the exact solve overwrites
+    it with C, and the low-rank path frees it before the filter forms C.
+
+    ``build_coefficients`` passes the K that ``kernel_matrix`` just built,
+    and so holds one n x n array at a time. Under tracemalloc at n = 2000,
+    a klsr candidate (``evaluate_candidate``) peaked at 1.04 n^2 float64,
+    exact, and at 1.43 n^2 with r = 200, set by ``randomized_eigh``'s
+    n x (r + 10) blocks beside K.
+    """
     K = np.ascontiguousarray(check_finite(K, "K"))
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K must be square")
@@ -275,7 +272,7 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
             raise NumericalError(f"kernel factorization failed: {exc}") from exc
         if w.min() < -tol:
             raise NumericalError("kernel matrix is indefinite beyond tolerance")
-        # a caller that handed K over unnamed frees it here, before C is made
+        # a caller that passed K unnamed frees it here, before C is made
         del K
         return ridge_filter(w, V, lam)
     # K is symmetric, so its transpose is the same matrix in Fortran order,
@@ -299,16 +296,13 @@ def klsr_coefficients(K, lam, approx_rank=None, seed=0):
 
 def build_coefficients(X, config, seed=0):
     """Dispatch to the configured coefficient model. Independent of tau.
-    klsr takes the kernel matrix built for it handed over unnamed, as the
-    search hands C to truncation, and solves in place in it or, on its
+    klsr solves in place in the kernel matrix built for it or, on its
     low-rank path, frees it before C is formed."""
     if config.model == MODEL_LSR:
         return lsr_coefficients(X, config.lam)
     if config.model == MODEL_KERNEL_DIRECT:
         return kernel_matrix(X, config.kernel)
-    return klsr_coefficients(
-        kernel_matrix(X, config.kernel).view(_Handed), config.lam, config.approx_rank, seed
-    )
+    return _klsr_in_place(kernel_matrix(X, config.kernel), config.lam, config.approx_rank, seed)
 
 
 class ColumnRanking(NamedTuple):
@@ -326,21 +320,6 @@ class ColumnRanking(NamedTuple):
     rank: np.ndarray | None
 
 
-def _abs_transpose(B):
-    """Overwrite the square array B with |B|', swapping square blocks across
-    the diagonal, and return it: the one temporary is a block."""
-    n, block = len(B), 64
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        np.abs(B[lo:hi, lo:hi].T, out=B[lo:hi, lo:hi])
-        for lo2 in range(hi, n, block):
-            upper, lower = B[lo:hi, lo2 : lo2 + block], B[lo2 : lo2 + block, lo:hi]
-            swap = np.abs(upper)
-            np.abs(lower.T, out=upper)
-            lower[...] = swap.T
-    return B
-
-
 def _kept_entries(C, depth):
     """The unranked ``ColumnRanking`` of C at ``depth``. A partition finds
     each column's depth-th largest value t; the column keeps its positive
@@ -348,37 +327,40 @@ def _kept_entries(C, depth):
     depth: the set a stable descending sort would keep. Raises
     DegenerateCandidateError if a column is all zero off the diagonal.
 
-    W' = |C|' is taken in a copy of C, freed on return, or in C itself
-    where C is ``_Handed``, by one transposition in place. One pass over
-    blocks of 32 rows of W' (columns of W) then partitions each block
-    (``np.partition`` copies its input) for its thresholds, marks the
-    kept entries in a boolean block (the comparison with a broadcast column
-    of thresholds takes a ufunc buffer no larger than the partition's
-    copy), and writes them into arrays sized for the depth entries a
-    column keeps at most. Besides any caller's C, the
-    peak is W', one block's partition and the kept entries: under
-    tracemalloc at n = 2000, 1.026 n^2 float64 at depth 10 and 1.030 at
-    depth 15. t is an exact order statistic, so the blocks change no bit
-    of it."""
-    handed = isinstance(C, _Handed)
+    C is read and never written. One pass over blocks of 32 columns of C
+    copies each block's C[:, lo:hi]' into one reused 32 x n buffer, 512
+    rows of C at a time (one strided copy of the whole block took three
+    times as long at n = 3000), and takes its absolute value and zeroes
+    its diagonal entries there. Each block is then partitioned
+    (``np.partition`` copies its input) for its thresholds, its kept
+    entries are marked in a boolean block (the comparison with a broadcast
+    column of thresholds takes a ufunc buffer no larger than the
+    partition's copy), and written into arrays sized for the depth entries
+    a column keeps at most. Besides the caller's C, the peak is these
+    blocks and the kept entries: under tracemalloc at n = 2000, 0.048 n^2
+    float64 at depth 10 and 0.046 at depth 15. t is an exact order
+    statistic, so the blocks change no bit of it."""
     C = check_finite(C, "C")
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
     n = C.shape[0]
-    # row j of Wt is column j of W
-    Wt = _abs_transpose(C if handed else np.array(C, order="C"))
-    Wt.flat[:: n + 1] = 0.0
     d = min(depth, n - 1)  # a column has n - 1 off-diagonal entries
-    height = 32  # rows of W' per block
+    width, tile = 32, 512  # columns of C per block, rows of C per read
     values = np.empty(n * d)
     rows = np.empty(n * d, dtype=np.int32)
     counts = np.empty(n, dtype=np.intp)
-    keep = np.empty((min(height, n), n), dtype=bool)
+    buf = np.empty((min(width, n), n))
+    keep = np.empty((min(width, n), n), dtype=bool)
     # the smallest positive float as a floor keeps no zero, where t is 0
     floor = np.nextafter(0.0, 1.0)
     nnz = 0
-    for lo in range(0, n, height):
-        block = Wt[lo : lo + height]
+    for lo in range(0, n, width):
+        # row i of the block is column lo + i of W = |C|, zero on the diagonal
+        block = buf[: min(width, n - lo)]
+        for r in range(0, n, tile):
+            block[:, r : r + tile] = C[r : r + tile, lo : lo + width].T
+        np.abs(block, out=block)
+        block.ravel()[lo :: n + 1] = 0.0
         # copy the threshold column, or its view keeps the partitioned block
         t = np.partition(block, n - d, axis=1)[:, n - d].copy()
         mask = keep[: len(block)]
@@ -407,10 +389,10 @@ def _kept_entries(C, depth):
 
 def rank_columns(C, depth):
     """The ``ColumnRanking`` of C at ``depth``, which lets a grid of tau
-    values up to ``depth`` share one partition of C's columns. C is left
-    untouched unless it is ``_Handed``."""
+    values up to ``depth`` share one partition of C's columns. C is never
+    written."""
     ranking = _kept_entries(C, depth)
-    del C  # frees a handed-over matrix before the ranks are sorted
+    del C  # frees a C passed unnamed before the ranks are sorted
     # entries run column by column and down each column, so a stable sort
     # by column, then by descending value, ranks ties lowest row first
     order = np.lexsort((-ranking.values, ranking.cols))
@@ -470,10 +452,9 @@ def postprocess_affinity(C, tau):
     In order: absolute value with zeroed diagonal, per-column truncation to
     the tau largest entries (ties broken by lowest row index), column l1
     normalization, symmetrization A = (W + W')/2. ``C`` is a coefficient
-    matrix, left untouched unless it is ``_Handed``, or its
-    ``rank_columns`` at a depth of at least tau. W' is built as CSR from
-    each column's kept entries, with no n x n array; column sums and
-    degrees round as numpy's dense sums would.
+    matrix, never written, or its ``rank_columns`` at a depth of at least
+    tau. W' is built as CSR from each column's kept entries, with no n x n
+    array; column sums and degrees round as numpy's dense sums would.
 
     Raises
     ------
@@ -491,7 +472,7 @@ def postprocess_affinity(C, tau):
         C = _kept_entries(C, tau)
     A = _column_graph(C, tau, own)
     # each step frees what the one before it held: rebinding C frees a
-    # handed-over matrix, and this a ranking made here
+    # matrix passed unnamed, and this a ranking made here
     del C
     degrees = _row_sums(A)
     if np.any(degrees <= 0.0):

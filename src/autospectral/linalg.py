@@ -85,8 +85,8 @@ def partial_sym_eigs(M, count, seed=0):
     Parameters
     ----------
     M : (n, n) symmetric ndarray or scipy sparse matrix
-        Only its lower triangle is read on the dense path. M is never
-        written.
+        Converted to CSR once, which drops a dense M's signed zeros; only
+        its lower triangle is read on the dense path. M is never written.
     count : int
         Number of algebraically largest eigenpairs, ``1 <= count <= n``.
     seed : int
@@ -103,11 +103,9 @@ def partial_sym_eigs(M, count, seed=0):
     EigsolverError
         If ARPACK does not converge.
     """
-    if sp.issparse(M):
-        if not np.all(np.isfinite(M.data)):
-            raise ValueError("M contains non-finite entries")
-    else:
-        M = check_finite(M, "M")
+    M = sp.csr_matrix(M, dtype=np.float64)
+    if not np.all(np.isfinite(M.data)):
+        raise ValueError("M contains non-finite entries")
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
@@ -117,24 +115,22 @@ def partial_sym_eigs(M, count, seed=0):
     if n <= DENSE_EIGS_MAX_N:
         values, vectors = _dense_top(M, count)
     else:
-        values, vectors = _componentwise_top(sp.csr_matrix(M), count, seed)
+        values, vectors = _componentwise_top(M, count, seed)
     flip = np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(count)])
     flip[flip == 0] = 1.0
     return values, vectors * flip
 
 
 def _dense_top(M, count):
-    """Top ``count`` eigenpairs by LAPACK, values descending.
+    """Top ``count`` eigenpairs of a sparse M by LAPACK, values descending.
 
-    A sparse M is densified in Fortran order, which LAPACK overwrites in
-    place with no transposing copy. A dense M is the caller's, and LAPACK
-    works on a copy of it.
+    M is densified in Fortran order, which LAPACK overwrites in place with
+    no transposing copy.
     """
     n = M.shape[0]
-    sparse = sp.issparse(M)
-    A = M.toarray(order="F") if sparse else M
+    A = M.toarray(order="F")
     values, vectors = scipy.linalg.eigh(
-        A, subset_by_index=[n - count, n - 1], overwrite_a=sparse, check_finite=False
+        A, subset_by_index=[n - count, n - 1], overwrite_a=True, check_finite=False
     )
     return values[::-1], vectors[:, ::-1]
 

@@ -29,7 +29,6 @@ from .affinity import (
     MODELS,
     CandidateConfig,
     KernelSpec,
-    _Handed,
     build_coefficients,
     default_approx_rank,
     postprocess_affinity,
@@ -134,9 +133,9 @@ def _objective(score, kind):
 # Largest point count a search runs on. Each candidate holds one n x n
 # array at a time: kernel_matrix builds K in one array, klsr solves in place
 # in it (its low-rank path frees K before the filter forms C), truncation
-# takes |C|' in place in C and marks the kept entries a block of rows at a
-# time. Under tracemalloc at n = 2000, evaluate_candidate and a one-model
-# grid_search peaked at 1.03 n^2 * 8 bytes for lsr, exact klsr and
+# reads C a block of 32 columns at a time and marks their kept entries.
+# Under tracemalloc at n = 2000, evaluate_candidate and a one-model
+# grid_search peaked at 1.04 n^2 * 8 bytes for lsr, exact klsr and
 # kernel_direct, one n x n array and blocks of at most 32 n entries, and
 # at 1.43 n^2 for low-rank klsr (approx_rank 200), set by randomized_eigh's
 # n x 210 blocks beside K. At 10 000 points one array is 0.8 GB; the
@@ -182,10 +181,9 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
     X = _checked_points(X, k)
 
     def graph():
-        # C is handed over unnamed: truncation overwrites it, and, as a
-        # callee owns its arguments from Python 3.11, postprocess_affinity
-        # frees it before the graph is built
-        return postprocess_affinity(build_coefficients(X, config, seed=seed).view(_Handed), config.tau)
+        # C is passed unnamed: as a callee owns its arguments from Python
+        # 3.11, postprocess_affinity frees it before the graph is built
+        return postprocess_affinity(build_coefficients(X, config, seed=seed), config.tau)
 
     return _score(graph, config, k, seed, eps)
 
@@ -193,12 +191,10 @@ def evaluate_candidate(X, k, config, seed=0, eps=1e-6):
 def _score_taus(X, k, configs, seed, eps):
     """Yield the scores of the candidates ``configs``, which differ only in
     tau, from one coefficient matrix, whose columns are ranked once at the
-    deepest tau. The matrix is handed over to the ranking, which overwrites
-    it and frees it before any tau is scored."""
+    deepest tau. The matrix is passed unnamed to the ranking, which frees
+    it before any tau is scored."""
     try:
-        columns = rank_columns(
-            build_coefficients(X, configs[0], seed=seed).view(_Handed), max(c.tau for c in configs)
-        )
+        columns = rank_columns(build_coefficients(X, configs[0], seed=seed), max(c.tau for c in configs))
     except DegenerateError as exc:
         for config in configs:
             yield _degenerate(config, exc)

@@ -433,13 +433,15 @@ class TestTruncationMatchesStableSort:
         for tau in range(1, n + 2):
             assert_matches_sorted(C, tau)
 
+    @pytest.mark.parametrize("n", [100, 600])
     @pytest.mark.parametrize("seed", range(3))
-    def test_sparse_integer_entries_across_row_blocks(self, seed):
-        # truncation marks the columns of W a block at a time: ties, columns
-        # with fewer nonzeros than tau and, in a later block, a column
-        # without off-diagonal mass come out as in a single block
+    def test_sparse_integer_entries_across_row_blocks(self, seed, n):
+        # truncation marks the columns of W a block at a time, and reads
+        # each block 512 rows of C at a time: ties, columns with fewer
+        # nonzeros than tau and, in a later block, a column without
+        # off-diagonal mass come out as in a single block and a single read
         rng = np.random.default_rng(seed)
-        C = rng.integers(-3, 4, (100, 100)) * (rng.random((100, 100)) < 0.1)
+        C = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.1)
         C = C.astype(np.float64)
         for tau in (1, 3, 8, 20):
             assert_matches_sorted(C, tau)
@@ -581,9 +583,9 @@ def assert_same_arrays(got, want):
 
 
 class TestOwningPaths:
-    """A matrix that the search hands over is overwritten in place; every
-    result equals the copying path's bit for bit, and a caller's array is
-    never written."""
+    """Truncation reads C and never writes it; klsr's private solve works in
+    place in the array it is given, with the bits of the public copying
+    path, and a caller's array is never written."""
 
     @staticmethod
     def matrices():
@@ -592,46 +594,20 @@ class TestOwningPaths:
         dup = build_coefficients(np.hstack([X, X[:, :6]]), CandidateConfig("lsr", tau=1, lam=0.1))
         dup[10:] = dup[:6]
         out = [rng.integers(-2, 3, (12, 12)).astype(np.float64), dup]
-        out += [rng.standard_normal((n, n)) for n in (2, 63, 64, 65, 129, 200)]
+        # 31, 32 and 33 sit on the edge of truncation's 32-column blocks
+        out += [rng.standard_normal((n, n)) for n in (2, 31, 32, 33, 63, 64, 65, 129, 200)]
         return out + model_coefficients(150)
 
-    def test_abs_transpose_in_place(self):
+    def test_truncation_never_writes_c(self):
         for C in self.matrices():
-            B = C.copy()
-            affinity._abs_transpose(B)
-            assert np.array_equal(B, np.abs(C.T))
-
-    def test_handed_ranking_matches_a_callers(self):
-        for C in self.matrices():
-            before = C.copy()
-            for depth in (1, 5, len(C) - 1, len(C) + 3):
-                want = rank_columns(C, depth)
+            before, n = C.copy(), len(C)
+            for depth in (1, 5, n - 1, n + 3):
+                ranking = rank_columns(C, depth)
                 assert np.array_equal(C, before)
-                handed = C.copy()
-                got = rank_columns(handed.view(affinity._Handed), depth)
-                assert_same_arrays(got, want)
-                assert want.cols.dtype == want.rows.dtype == np.int32
-                # truncation worked in the handed matrix: it holds W'
-                W = np.abs(C.T)
-                np.fill_diagonal(W, 0.0)
-                assert np.array_equal(handed, W)
-
-    def test_handed_graph_matches_a_callers(self):
-        for C in self.matrices():
-            before = C.copy()
-            for tau in (1, 5, len(C) - 1):
-                try:
-                    want = postprocess_affinity(C, tau)
-                except DegenerateCandidateError as exc:
-                    with pytest.raises(DegenerateCandidateError, match=str(exc)):
-                        postprocess_affinity(C.copy().view(affinity._Handed), tau)
-                    continue
-                got = postprocess_affinity(C.copy().view(affinity._Handed), tau)
+                assert ranking.cols.dtype == ranking.rows.dtype == np.int32
+            for tau in (1, 5, n - 1):
+                assert_matches_sorted(C, tau)
                 assert np.array_equal(C, before)
-                assert_same_arrays(
-                    (got.a.data, got.a.indices, got.a.indptr, got.degrees),
-                    (want.a.data, want.a.indices, want.a.indptr, want.degrees),
-                )
 
     @pytest.mark.parametrize("approx_rank", [None, 20])
     def test_klsr_in_place_matches_a_copy(self, approx_rank):
@@ -644,10 +620,10 @@ class TestOwningPaths:
                 want = klsr_coefficients(K, lam, approx_rank=approx_rank, seed=3)
                 assert np.array_equal(K, before)
                 Ks = K.copy()
-                got = klsr_coefficients(Ks.view(affinity._Handed), lam, approx_rank=approx_rank, seed=3)
+                got = affinity._klsr_in_place(Ks, lam, approx_rank, 3)
                 assert np.array_equal(got, want)
                 if approx_rank is None:
-                    # solved in the handed matrix
+                    # solved in the array it was given
                     assert np.shares_memory(got, Ks)
             config = CandidateConfig("klsr", tau=1, lam=0.1, kernel=spec, approx_rank=approx_rank)
             want = klsr_coefficients(K, 0.1, approx_rank=approx_rank, seed=0)

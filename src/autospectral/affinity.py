@@ -53,10 +53,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
-        if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
+        if not 0 < self.xi < np.inf:
+            raise ValueError("xi must be finite and positive")
+        if not 0 <= self.offset < np.inf:
+            raise ValueError("offset must be finite and nonnegative")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
@@ -76,8 +76,8 @@ class CandidateConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
-        if self.model in LAMBDA_MODELS and self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if self.model in LAMBDA_MODELS and not 0 < self.lam < np.inf:
+            raise ValueError("lam must be finite and positive")
         if self.model in KERNEL_MODELS and self.kernel is None:
             raise ValueError(f"model {self.model!r} requires a kernel spec")
         if self.approx_rank is not None and self.approx_rank < 1:
@@ -324,8 +324,9 @@ def _kept_entries(C, depth):
     """The unranked ``ColumnRanking`` of C at ``depth``. A partition finds
     each column's depth-th largest value t; the column keeps its positive
     entries above t, plus as many equal to t, lowest rows first, as make
-    depth: the set a stable descending sort would keep. Raises
-    DegenerateCandidateError if a column is all zero off the diagonal.
+    depth: the set a stable descending sort would keep. Raises ValueError
+    if C is empty, and DegenerateCandidateError if a column is all zero off
+    the diagonal, as the one column of a 1 x 1 C is.
 
     C is read and never written. One pass over blocks of 32 columns of C
     copies each block's C[:, lo:hi]' into one reused 32 x n buffer, 512
@@ -341,9 +342,11 @@ def _kept_entries(C, depth):
     float64 at depth 10 and 0.046 at depth 15. t is an exact order
     statistic, so the blocks change no bit of it."""
     C = check_finite(C, "C")
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("C must be square")
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
+        raise ValueError("C must be square and nonempty")
     n = C.shape[0]
+    if n == 1:
+        raise DegenerateCandidateError("a column has no off-diagonal mass")
     d = min(depth, n - 1)  # a column has n - 1 off-diagonal entries
     width, tile = 32, 512  # columns of C per block, rows of C per read
     values = np.empty(n * d)
@@ -400,13 +403,14 @@ def rank_columns(C, depth):
     return ranking._replace(rank=rank)
 
 
-def _column_graph(ranking, tau, own=False):
+def _column_graph(ranking, tau):
     """A = (W + W')/2 as CSR, where W holds the entries of ``ranking`` that
-    level tau keeps, each column l1-normalized: in the ranking's own values
-    where the caller ``own``s the ranking, which is then spent."""
+    level tau keeps, each column l1-normalized in place: in an unranked
+    ranking, made for its depth alone, or in the copy that ``rank < tau``
+    selects from a ranked one, which its levels share and none writes."""
     if tau > ranking.depth:
         raise ValueError(f"a ranking of depth {ranking.depth} cannot truncate to tau = {tau}")
-    n, kept = ranking.n, slice(None) if tau == ranking.depth else ranking.rank < tau
+    n, kept = ranking.n, slice(None) if ranking.rank is None else ranking.rank < tau
     cols = ranking.cols[kept]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
     wt = sp.csr_matrix((ranking.values[kept], ranking.rows[kept], indptr), shape=(n, n))
@@ -415,10 +419,7 @@ def _column_graph(ranking, tau, own=False):
     sums = wt @ np.ones(n)
     if not np.all(np.isfinite(sums)):
         raise DegenerateCandidateError("the kept weights of a column overflow float64 when summed")
-    if own:
-        wt.data /= sums[cols]
-    else:
-        wt.data = wt.data / sums[cols]
+    wt.data /= sums[cols]
     total = wt + wt.T
     del wt  # W' and W are freed before the halved copy is made
     # the sum's arrays are sized for both operands: halve trimmed copies
@@ -459,18 +460,17 @@ def postprocess_affinity(C, tau):
     Raises
     ------
     ValueError
-        If tau is below 1, or deeper than the ranking's depth.
+        If tau is below 1, deeper than the ranking's depth, or C is empty.
     DegenerateCandidateError
-        If any column is entirely zero after abs/zero-diagonal, the kept
-        weights of a column sum past float64's range, or any vertex of the
-        symmetrized graph has zero degree.
+        If any column is entirely zero after abs/zero-diagonal (as a 1 x 1
+        C's is), the kept weights of a column sum past float64's range, or
+        any vertex of the symmetrized graph has zero degree.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    own = not isinstance(C, ColumnRanking)
-    if own:
+    if not isinstance(C, ColumnRanking):
         C = _kept_entries(C, tau)
-    A = _column_graph(C, tau, own)
+    A = _column_graph(C, tau)
     # each step frees what the one before it held: rebinding C frees a
     # matrix passed unnamed, and this a ranking made here
     del C

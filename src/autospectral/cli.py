@@ -27,7 +27,25 @@ from .kmeans import Partition
 from .linalg import unit_columns
 from .metrics import clustering_accuracy, nmi
 from .netembed import NetConfig, landmark_cluster
-from .search import BO_INIT_DESIGN, SEARCH_MAX_N, bo_search, default_search_space, grid_search
+from .search import BO_INIT_DESIGN, SCORE_KINDS, SEARCH_MAX_N, bo_search, default_search_space, grid_search
+
+
+def _ranged(kind, least, most=math.inf, above=False):
+    """An argparse type: ``kind`` of the text, finite and at least ``least``
+    (above it where ``above``) and at most ``most``. argparse exits with
+    code 2 on its error, naming the flag, and names ``kind`` where the text
+    is no number."""
+
+    def convert(text):
+        value = kind(text)
+        if math.isfinite(value) and (value > least if above else value >= least) and value <= most:
+            return value
+        rule = ("finite and " if kind is float else "") + ("above " if above else "at least ") + str(least)
+        rule += f" and at most {most}" if most < math.inf else ""
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    convert.__name__ = kind.__name__
+    return convert
 
 
 def build_parser():
@@ -35,6 +53,7 @@ def build_parser():
         prog="cluster",
         description="Automated spectral clustering with eigen-gap guided model search.",
     )
+    count, positive = _ranged(int, 1), _ranged(float, 0, above=True)
     p.add_argument("--data", required=True, help="input data file")
     p.add_argument("--format", choices=("csv", "idx"), default="csv")
     p.add_argument(
@@ -43,27 +62,27 @@ def build_parser():
         help="truth labels: a file path (labels CSV, or IDX labels file for --format idx), "
         "or 'last' meaning the final column of the data CSV",
     )
-    p.add_argument("--k", type=int, required=True, help="number of clusters (>= 2)")
+    p.add_argument("--k", type=_ranged(int, 2), required=True, help="number of clusters (>= 2)")
     p.add_argument("--search", choices=("grid", "bo"), default="grid")
-    p.add_argument("--budget", type=int, default=30, help="BO evaluations per model")
+    p.add_argument("--budget", type=count, default=30, help="BO evaluations per model")
     p.add_argument(
-        "--landmarks", type=int, default=0,
+        "--landmarks", type=_ranged(int, 0, SEARCH_MAX_N), default=0,
         help="landmark count for the scalable path; 0 runs the search on all points",
     )
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--gamma", type=float, default=1e-5, help="embedding-net ridge weight")
-    p.add_argument("--hidden", type=int, default=200)
-    p.add_argument("--eps", type=float, default=1e-6, help="eigen-gap denominator constant")
+    p.add_argument("--epochs", type=count, default=200)
+    p.add_argument("--batch", type=count, default=128)
+    p.add_argument("--lr", type=positive, default=1e-3)
+    p.add_argument("--gamma", type=_ranged(float, 0), default=1e-5, help="embedding-net ridge weight")
+    p.add_argument("--hidden", type=count, default=200)
+    p.add_argument("--eps", type=positive, default=1e-6, help="eigen-gap denominator constant")
     p.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_ranged(int, 0), default=1,
         help="evaluation threads; 1 = serial reference mode (default), 0 = all cores",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=count, default=1)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--score", choices=("reg", "eg"), default="reg",
+    p.add_argument("--score", choices=SCORE_KINDS, default="reg",
                    help="candidate objective: relative eigen-gap or plain eigen-gap")
     return p
 
@@ -81,39 +100,17 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std())
 
 
-# smallest accepted value of each integer flag; --threads 0 means all cores
-_FLAG_MINIMUMS = {
-    "k": 2, "repeats": 1, "landmarks": 0, "budget": 1, "epochs": 1, "batch": 1, "hidden": 1, "threads": 0,
-}
-
-
 def run_cli(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # the rules that join two flags: a BO budget covers the GP's initial design
+        if args.search == "bo" and args.budget < BO_INIT_DESIGN:
+            parser.error(f"argument --budget: must be at least {BO_INIT_DESIGN} with --search bo")
+        if 0 < args.landmarks <= args.k:
+            parser.error(f"argument --landmarks: must be 0 or at least k + 1 = {args.k + 1}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    # a BO budget must cover the initial design that the GP is first fit to
-    minimums = {**_FLAG_MINIMUMS, "budget": BO_INIT_DESIGN} if args.search == "bo" else _FLAG_MINIMUMS
-    for name, minimum in minimums.items():
-        if getattr(args, name) < minimum:
-            print(f"error: --{name} must be at least {minimum}", file=sys.stderr)
-            return 2
-    if not (math.isfinite(args.eps) and args.eps > 0):
-        print("error: --eps must be finite and positive", file=sys.stderr)
-        return 2
-    if not (math.isfinite(args.lr) and args.lr > 0):
-        print("error: --lr must be finite and positive", file=sys.stderr)
-        return 2
-    if not (math.isfinite(args.gamma) and args.gamma >= 0):
-        print("error: --gamma must be finite and at least 0", file=sys.stderr)
-        return 2
-    if 0 < args.landmarks <= args.k:
-        print(f"error: --landmarks must be 0 or at least k + 1 = {args.k + 1}", file=sys.stderr)
-        return 2
-    if args.landmarks > SEARCH_MAX_N:
-        print(f"error: --landmarks must be at most {SEARCH_MAX_N}, the search's point limit", file=sys.stderr)
-        return 2
     try:
         return _run(args)
     except (FileNotFoundError, DataFormatError, ValueError, NumericalError, TrainingDivergedError) as exc:

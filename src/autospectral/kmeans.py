@@ -190,12 +190,13 @@ def _means(P, labels, centers):
     return means
 
 
-def lloyd_iterations(P, k, rng, max_iters=300, tol=1e-6, seed_rows=None):
+def lloyd_iterations(P, k, rng, max_iters, seed_rows=None):
     """Single k-means run; returns (labels0, centers, inertia, history).
 
     k-means++ seeds from ``seed_rows`` rows of P drawn from ``rng`` without
     replacement, or from every row when ``seed_rows`` is None or at least
-    the row count; the Lloyd steps then run on all rows. ``history``
+    the row count; at most ``max_iters`` Lloyd steps then run on all rows,
+    stopping once no center moves by 1e-6 in a step. ``history``
     collects the inertia after every assignment step, one per step plus the
     final one, and is non-increasing by construction of the update/repair
     steps.
@@ -215,7 +216,7 @@ def lloyd_iterations(P, k, rng, max_iters=300, tol=1e-6, seed_rows=None):
         new_centers = _means(P, labels, centers)
         shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
         centers = new_centers
-        if shift < tol:
+        if shift < 1e-6:
             break
     labels, mind2 = _assign(P, pn, centers)
     _repair_empty(P, centers, labels, mind2, k)
@@ -248,7 +249,7 @@ def _best_run(X, k, restarts, seed, max_iters, seed_rows=None):
 
 def kmeans(Z, k, seed=0):
     """Best of 10 k-means runs on the columns of Z, each of at most 300
-    Lloyd steps.
+    Lloyd steps that stop once no center moves by 1e-6 in a step.
 
     Returns the lowest-inertia Partition; ties keep the earliest restart.
     """
@@ -260,16 +261,16 @@ def kmeans(Z, k, seed=0):
 _SEED_ROWS_PER_CENTER = 10
 
 
-def kmeans_centers(X, k, seed=0, max_iters=5):
+def kmeans_centers(X, k, seed=0):
     """Centers (m x k) of one short k-means run; used for landmark selection.
 
     k-means++ seeds from min(n, 10 k) columns of X, drawn without
-    replacement from the first spawned stream of ``seed``; at most
-    ``max_iters`` Lloyd steps on all n columns follow. Landmarks only
-    summarise X for the search: at n=70 000, m=784 with 1000 landmarks,
-    seeding from all points and running Lloyd to convergence took 81-93 s
+    replacement from the first spawned stream of ``seed``; at most 5 Lloyd
+    steps on all n columns follow, stopping as ``kmeans``' steps do.
+    Landmarks only summarise X for the search: at n=70 000, m=784 with
+    1000 landmarks, seeding from all points and running Lloyd to convergence took 81-93 s
     against 16-21 s (2-core host, one BLAS thread), and the landmark path's
     mean accuracy over five inputs moved by 0.0001. For the same reason one
     run suffices where ``kmeans`` takes the best of ten.
     """
-    return _best_run(X, k, 1, seed, max_iters, _SEED_ROWS_PER_CENTER * k)[1].T.copy()
+    return _best_run(X, k, 1, seed, 5, _SEED_ROWS_PER_CENTER * k)[1].T.copy()

@@ -74,8 +74,8 @@ class SearchSpace:
             raise ValueError("search space needs at least one model")
         if not self.lambdas or not self.taus:
             raise ValueError("grids must be nonempty")
-        if any(l <= 0 for l in self.lambdas) or any(t < 1 for t in self.taus):
-            raise ValueError("invalid grid values")
+        if any(not 0 < l < math.inf for l in self.lambdas) or any(t < 1 for t in self.taus):
+            raise ValueError("invalid grid values: lambdas must be finite and positive, taus >= 1")
 
 
 def default_search_space():

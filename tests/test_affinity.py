@@ -183,6 +183,12 @@ class TestKernelMatrix:
         # klsr with a linear kernel is lsr, so there is no linear kind
         with pytest.raises(ValueError):
             KernelSpec("linear")
+        # a NaN xi breaks truncation, an infinite one makes K all ones
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="xi must be finite"):
+                KernelSpec("gaussian", xi=bad)
+            with pytest.raises(ValueError, match="offset must be finite"):
+                KernelSpec("polynomial", offset=bad, degree=2)
 
 
 class TestKlsr:
@@ -307,6 +313,12 @@ class TestBuildCoefficients:
             CandidateConfig(model="lsr", tau=0, lam=0.1)
         with pytest.raises(ValueError):
             CandidateConfig(model="lsr", tau=2, lam=-1.0)
+        # a NaN lam breaks truncation, an infinite one degenerates C
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                CandidateConfig(model="lsr", tau=2, lam=bad)
+            with pytest.raises(ValueError, match="lam must be finite"):
+                CandidateConfig(model="klsr", tau=2, lam=bad, kernel=KernelSpec("gaussian"))
 
 
 class TestPostprocess:
@@ -508,6 +520,16 @@ class TestTruncationMatchesStableSort:
             for tau in taus:
                 assert_matches_sorted(C, tau, ranking)
 
+    def test_one_point_degenerate_and_no_point_rejected(self):
+        # a 1 x 1 C has no entry off the diagonal, as the reference says; a
+        # 0 x 0 C is no coefficient matrix at all
+        assert_matches_sorted(np.ones((1, 1)), 1)
+        for truncate in (postprocess_affinity, rank_columns):
+            with pytest.raises(DegenerateCandidateError, match="a column has no off-diagonal mass"):
+                truncate(np.ones((1, 1)), 1)
+            with pytest.raises(ValueError, match="C must be square and nonempty"):
+                truncate(np.empty((0, 0)), 1)
+
     def test_shallow_ranking_refuses_a_deeper_level(self):
         ranking = rank_columns(np.random.default_rng(15).standard_normal((12, 12)), 3)
         with pytest.raises(ValueError, match=r"depth 3 cannot truncate to tau = 5"):
@@ -609,6 +631,21 @@ class TestOwningPaths:
                 assert_matches_sorted(C, tau)
                 assert np.array_equal(C, before)
 
+    def test_shared_ranking_serves_levels_in_any_order(self):
+        # levels in descending and repeated order, the ranking's own depth
+        # among them, each equal to a ranking made for that level alone;
+        # no level writes the ranking the others read
+        for C in self.matrices():
+            ranking = rank_columns(C, 15)
+            before = [a.copy() for a in (ranking.values, ranking.rows, ranking.cols)]
+            for tau in (15, 10, 5, 15, 1, 5, 15):
+                got, want = postprocess_affinity(ranking, tau), postprocess_affinity(C, tau)
+                assert_same_arrays(
+                    (got.a.data, got.a.indices, got.a.indptr, got.degrees),
+                    (want.a.data, want.a.indices, want.a.indptr, want.degrees),
+                )
+            assert_same_arrays((ranking.values, ranking.rows, ranking.cols), before)
+
     @pytest.mark.parametrize("approx_rank", [None, 20])
     def test_klsr_in_place_matches_a_copy(self, approx_rank):
         rng = np.random.default_rng(22)
@@ -643,7 +680,8 @@ class TestOwningPaths:
     @pytest.mark.parametrize("n", [150, 2000])
     @pytest.mark.parametrize("config", MODEL_CONFIGS, ids=lambda c: c.model)
     def test_column_graph_matches_summed_halves(self, n, config):
-        # a ranking at depth 50 serves level 50 whole and level 5 by mask
+        # a shared ranking serves every level through its mask, level 50 at
+        # its own depth too
         ranking = rank_columns(model_coefficients(n, (config,))[0], 50)
         for tau in (5, 50):
             got, want = affinity._column_graph(ranking, tau), summed_column_graph(ranking, tau)

@@ -114,10 +114,6 @@ class TestDeterminism:
 
 
 class TestUsageErrors:
-    def test_k_one_rejected(self, subspace_csv, tmp_path):
-        plain, _, _ = subspace_csv
-        assert run_cli(base_args(plain, tmp_path / "x", **{"--k": "1"})) == 2
-
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -139,11 +135,18 @@ class TestUsageErrors:
             ("--gamma", "-1"),
             ("--gamma", "nan"),
             ("--gamma", "inf"),
+            ("--k", "1"),
+            ("--landmarks", str(search.SEARCH_MAX_N + 1)),
         ],
     )
     def test_out_of_range_flag_rejected_before_any_work(self, subspace_csv, tmp_path, capsys, flag, value):
         plain, _, _ = subspace_csv
         out = tmp_path / "x"
+        # the parser itself rejects the value, naming the flag
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(base_args(plain, out, **{flag: value}))
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
         assert run_cli(base_args(plain, out, **{flag: value})) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()

@@ -53,7 +53,7 @@ def test_inertia_history_non_increasing():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((3, 60))
     for s in range(5):
-        _, _, _, history = lloyd_iterations(X.T.copy(), 4, np.random.default_rng(s))
+        _, _, _, history = lloyd_iterations(X.T.copy(), 4, np.random.default_rng(s), 300)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 
@@ -64,7 +64,7 @@ def test_restarts_never_worse_than_single_runs():
     P = X.T.copy()
     singles = []
     for child in np.random.SeedSequence(9).spawn(10):
-        _, _, inertia, _ = lloyd_iterations(P, 5, np.random.default_rng(child))
+        _, _, inertia, _ = lloyd_iterations(P, 5, np.random.default_rng(child), 300)
         singles.append(inertia)
     assert best <= min(singles) + 1e-12
     assert best == pytest.approx(min(singles), abs=1e-12)
@@ -174,7 +174,7 @@ class TestCenters:
                 assert history[-1] == inertia == ref_inertia
 
     def test_lloyd_steps_capped(self):
-        # Lloyd needs more than 5 steps here, so the default cap binds
+        # Lloyd needs more than 5 steps here, so the fixed 5-step cap binds
         X = np.random.default_rng(13).standard_normal((2, 600))
         assert len(_ref_centers(X, 20, 0, 300)[3]) > 7
         _, ref_centers, _, ref_history = _ref_centers(X, 20, 0, 5)
@@ -293,7 +293,7 @@ def test_lloyd_matches_reference_loop(name, m, tile, monkeypatch):
     rng = np.random.default_rng([m, len(name)])
     P, k = _case(name, m, rng)
     for s in range(3):
-        labels, centers, inertia, history = lloyd_iterations(P, k, np.random.default_rng(s))
+        labels, centers, inertia, history = lloyd_iterations(P, k, np.random.default_rng(s), 300)
         ref_labels, ref_centers, ref_inertia, ref_history = _ref_lloyd(P, k, np.random.default_rng(s))
         assert np.array_equal(labels, ref_labels)
         if m == 1:

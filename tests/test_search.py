@@ -955,6 +955,11 @@ def test_bad_options_rejected_before_any_coefficients(monkeypatch, driver, optio
 
 
 class TestGridSearch:
+    @pytest.mark.parametrize("lambdas", [(0.1, math.nan), (math.inf,)])
+    def test_space_refuses_non_finite_lambdas(self, lambdas):
+        with pytest.raises(ValueError, match="lambdas must be finite and positive"):
+            SearchSpace(models=(ModelSpec("lsr"),), lambdas=lambdas, taus=(8,))
+
     def test_single_candidate_space(self):
         X, _ = subspace_data()
         space = SearchSpace(models=(ModelSpec("lsr"),), lambdas=(0.1,), taus=(8,))
